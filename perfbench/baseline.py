@@ -54,12 +54,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads", nargs="*")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     results = {w: [] for w in workloads}
     machine = None

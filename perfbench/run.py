@@ -81,13 +81,17 @@ def git_commit() -> str:
 
 
 def phases(workload: str, seed: int, work_dir):
-    """(make set-up, measure(setup, seconds, tag), summarize(setup, run)) for a workload."""
+    """(make set-up, measure(setup, seconds, tag, learn), summarize(setup, run)) for a workload.
+
+    `learn` asks train-soft for its quality call; decode workloads ignore it.
+    """
     if workload == "train-soft":
         return (partial(W.setup_train, seed),
-                lambda setup, seconds, tag: W.measure_train(setup, seed, seconds, work_dir / tag),
+                lambda setup, seconds, tag, learn: W.measure_train(setup, seed, seconds,
+                                                                   work_dir / tag, learn),
                 W.summarize_train)
     return (partial(W.setup_decode, W.DECODERS[workload], seed),
-            lambda setup, seconds, tag: W.measure_decode(setup, seconds),
+            lambda setup, seconds, tag, learn: W.measure_decode(setup, seconds),
             W.summarize_decode)
 
 
@@ -97,7 +101,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, work_dir) -> tupl
     lines = []
     if not trace:
         setup, setup_s = W.timed_setups(make)
-        outcome = summarize(setup, measure(setup, seconds, "run"))
+        outcome = summarize(setup, measure(setup, seconds, "run", True))
         metrics = {
             "setup_s": (setup_s, "s"),
             "peak_rss_mb": (W.peak_rss_mb(), "MB"),
@@ -110,13 +114,13 @@ def run(workload: str, seed: int, seconds: float, trace: bool, work_dir) -> tupl
     with setup_tracer.installed():
         setup, setup_s = W.timed_setups(make)
     load_s = [s[END] - s[START] for s in setup_tracer.spans if s[NAME] == "checkpoint.load"]
-    plain = summarize(setup, measure(setup, seconds / 2, "plain"))
+    plain = summarize(setup, measure(setup, seconds / 2, "plain", False))
     tracer = Tracer()
     with tracer.installed():
-        traced_run = measure(setup, seconds, "traced")
+        traced_run = measure(setup, seconds, "traced", False)
     outcome = summarize(setup, traced_run)
     overhead = plain.metrics["ops_per_s"][0] / outcome.metrics["ops_per_s"][0] - 1.0
-    coverage, problems = tracer.check(traced_run.wall_s)
+    coverage, problems = tracer.check(traced_run.wall_s, traced_run.op_s)
     outcome.problems += problems
     metrics = tracer.layer_metrics(outcome.generated_tokens, load_s, coverage, overhead)
     spans_path = OUT_DIR / f"trace-{workload}-seed{seed}.jsonl.gz"

@@ -103,14 +103,26 @@ def test_trace_spans_nest_and_cover_the_run():
     with tracer.installed():
         run = W.measure_decode(setup, 0.0)
     out = W.summarize_decode(setup, run)
-    coverage, problems = tracer.check(run.wall_s)
+    coverage, problems = tracer.check(run.wall_s, run.op_s)
     assert not problems and coverage >= 0.9
+    # the per-op comparison fails when the spans and the op clock disagree
+    assert "op spans for" in tracer.check(run.wall_s, run.op_s[1:])[1][0]
+    assert "longer than the op" in tracer.check(run.wall_s, [t / 2 for t in run.op_s])[1][0]
+    assert "miss" in tracer.check(run.wall_s, [t * 1.5 for t in run.op_s])[1][0]
     assert sum(tracer.self_times()) == pytest.approx(
         sum(s[4] - s[3] for s in tracer.roots()), rel=1e-9)
     metrics = tracer.layer_metrics(out.generated_tokens, [], coverage, 0.0)
     assert metrics["fusion.sources_calls_per_sentence"][0] >= 1
     assert metrics["model.positions_per_token"][0] >= 1
     assert metrics["surface.state_s"][0] == 0
+
+
+def test_trace_reports_spans_left_open():
+    tracer = Tracer()
+    with tracer.installed():
+        tracer.open("stray")
+    assert tracer.left_open == ["stray"] and not tracer.stack
+    assert any("still open" in p for p in tracer.check(1.0, [])[1])
 
 
 def test_tracer_restores_the_library():
@@ -136,14 +148,21 @@ def test_refuses_to_run_without_sources(tmp_path):
     assert '"correct"' not in proc.stdout
 
 
-@pytest.mark.parametrize("trace, section", [(False, "end_to_end"), (True, "per_layer")])
-def test_reported_metrics_match_benchmark_json(trace, section, tmp_path):
+@pytest.mark.parametrize("workload, trace, section", [
+    ("decode-greedy-soft", False, "end_to_end"),
+    ("decode-greedy-soft", True, "per_layer"),
+    ("train-soft", False, "end_to_end"),
+])
+def test_reported_metrics_match_benchmark_json(workload, trace, section, tmp_path):
     import run
 
     spec = json.loads((bootstrap.ROOT / "BENCHMARK.json").read_text())
-    outcome, _, metrics, _ = run.run("decode-greedy-soft", 1, 0.0, trace, tmp_path)
+    outcome, _, metrics, _ = run.run(workload, 1, 0.0, trace, tmp_path)
     assert outcome.failed == 0 and not outcome.problems
     assert {m["name"]: m["unit"] for m in spec[section]} == {k: u for k, (_, u) in metrics.items()}
+    if workload == "train-soft":
+        # quality comes from the 1200-step call, which has learned the cipher
+        assert metrics["heldout_loss"][0] < 0.5 and metrics["accuracy"][0] > 0.9
     if trace:
         assert metrics["checkpoint.load_s"][0] > 0
         assert metrics["surface.fused_scores_s"][0] > 0 and metrics["fusion.sources_s"][0] == 0

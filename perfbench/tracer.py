@@ -103,6 +103,7 @@ class Tracer:
         self.gc_collections = 0
         self._gc_start = 0.0
         self._step: int | None = None
+        self.left_open: list[str] = []                 # names of spans open when tracing stopped
         self.epoch = time.perf_counter()
 
     # -- recording ---------------------------------------------------------
@@ -213,6 +214,7 @@ class Tracer:
             gc.callbacks.remove(self._gc_callback)
             for holder, attr, original in reversed(saved):
                 setattr(holder, attr, original)
+            self.left_open = [self.spans[i][NAME] for i in self.stack]
             self.close_all()
 
     # -- analysis ----------------------------------------------------------
@@ -227,25 +229,32 @@ class Tracer:
     def roots(self) -> list[list]:
         return [s for s in self.spans if s[PARENT] < 0]
 
-    def check(self, measured_wall_s: float) -> tuple[float, list[str]]:
-        """Root coverage of the measured wall time, and nesting problems."""
+    def check(self, measured_wall_s: float, op_s: list[float]) -> tuple[float, list[str]]:
+        """Root coverage of the measured wall time, and what is wrong with the trace.
+
+        `op_s` holds the times the workload took of its steps or sentences
+        with its own clock, in order. Each needs exactly one op root span
+        (`training.step` or `training.beam_decode`), which runs inside that
+        clock: no longer than the op, and shorter only by the wrappers
+        between them.
+        """
         problems = []
+        if self.left_open:
+            problems.append(f"trace: {len(self.left_open)} spans were still open at the end "
+                            f"({', '.join(self.left_open[:3])})")
         roots = self.roots()
         root_s = sum(s[END] - s[START] for s in roots)
         coverage = root_s / measured_wall_s if measured_wall_s > 0 else 0.0
         if coverage < 0.9:
             problems.append(f"trace: root spans cover {coverage:.1%} of the measured time (< 90%)")
-        selfs = self.self_times()
-        if min(selfs, default=0.0) < -1e-6:
-            problems.append("trace: a child span lasts longer than its parent")
-        if abs(sum(selfs) - root_s) > 1e-6 * max(1.0, root_s):
-            problems.append("trace: self times do not add up to the root durations")
-        for s in self.spans:
-            if s[PARENT] >= 0:
-                p = self.spans[s[PARENT]]
-                if s[START] < p[START] or s[END] > p[END]:
-                    problems.append(f"trace: span {s[NAME]} lies outside its parent {p[NAME]}")
-                    break
+        op_roots = [s[END] - s[START] for s in roots if s[NAME] in (STEP, SENTENCE)]
+        if len(op_roots) != len(op_s):
+            problems.append(f"trace: {len(op_roots)} op spans for {len(op_s)} measured ops")
+        elif any(span > clock for span, clock in zip(op_roots, op_s)):
+            problems.append("trace: an op span lasts longer than the op did by its own clock")
+        elif sum(op_s) - sum(op_roots) > 0.05 * sum(op_s):
+            problems.append(f"trace: op spans miss {1 - sum(op_roots) / sum(op_s):.1%} of the "
+                            f"measured op time (> 5%)")
         return coverage, problems
 
     def table(self) -> list[tuple[str, int, float, float]]:

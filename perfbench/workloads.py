@@ -40,6 +40,8 @@ MODEL_SEED = 0                  # parameter initialisation, fixed across workloa
 SETUP_REPEATS = 11              # set-up is timed this many times; the median is reported
 TRAIN_REP_STEPS = 300           # optimizer steps per train() call in train-soft
 TRAIN_EVAL_INTERVAL = 100
+TRAIN_LEARN_STEPS = 1200        # steps of the train() call the train-soft quality metrics come from
+TRAIN_LEARN_EVAL_INTERVAL = 200
 
 DECODERS = {
     "decode-greedy-soft": "soft",
@@ -234,41 +236,62 @@ class StepClock:
 class TrainRun:
     tcfg: training.TrainConfig
     reps: list = field(default_factory=list)       # (TrainResult, model, run_dir, seconds)
-    step_s: list[float] = field(default_factory=list)
+    op_s: list[float] = field(default_factory=list)    # seconds of each optimizer step
     attempted: int = 0
     failed: int = 0
     problems: list[str] = field(default_factory=list)
     wall_s: float = 0.0                            # time spent inside train()
+    learned: tuple | None = None                   # (TrainResult, model, run_dir, TrainConfig)
 
 
-def measure_train(setup: TrainSetup, seed: int, seconds: float, work_dir: Path) -> TrainRun:
-    """Repeat one train() call on a fresh model until `seconds` have passed."""
+def train_call(setup: TrainSetup, model: Seq2Seq, tcfg, run_dir: Path, run: TrainRun,
+               clock: StepClock):
+    """One train() call; counts its steps as ops. Returns the TrainResult, or None if it raised."""
+    steps_before = len(clock.times)
+    try:
+        result = training.train(model, setup.train_ids, setup.valid_ids, tcfg,
+                                out_dir=str(run_dir))
+    except Exception as exc:  # a failing step: count it, keep measuring
+        done = len(clock.times) - steps_before
+        run.attempted += done + 1
+        run.failed += 1
+        run.problems.append(f"train: step {done + 1} raised {exc!r}")
+        return None
+    run.attempted += len(result.step_losses)
+    run.failed += sum(1 for x in result.step_losses if not math.isfinite(x))
+    return result
+
+
+def measure_train(setup: TrainSetup, seed: int, seconds: float, work_dir: Path,
+                  learn: bool = False) -> TrainRun:
+    """Repeat one train() call on a fresh model until `seconds` have passed.
+
+    With `learn`, one TRAIN_LEARN_STEPS call follows the measured time; the
+    quality metrics come from the model it trains, since the timed calls stop
+    soon after warmup.
+    """
     run = TrainRun(train_config(setup.cfg, TRAIN_REP_STEPS, TRAIN_EVAL_INTERVAL, seed))
     deadline = time.perf_counter() + seconds
     with StepClock() as clock:
         while not run.reps or time.perf_counter() < deadline:
             model = build_model(setup.cfg)
             run_dir = work_dir / f"rep{len(run.reps)}"
-            steps_before = len(clock.times)
             t0 = time.perf_counter()
-            try:
-                result = training.train(model, setup.train_ids, setup.valid_ids, run.tcfg,
-                                        out_dir=str(run_dir))
-            except Exception as exc:  # a failing step: count it, keep measuring
-                run.wall_s += time.perf_counter() - t0
-                done = len(clock.times) - steps_before
-                run.attempted += done + 1
-                run.failed += 1
-                run.problems.append(f"train: step {done + 1} raised {exc!r}")
-                if time.perf_counter() >= deadline:
-                    break
-                continue
+            result = train_call(setup, model, run.tcfg, run_dir, run, clock)
             elapsed = time.perf_counter() - t0
             run.wall_s += elapsed
-            run.reps.append((result, model, run_dir, elapsed))
-            run.attempted += len(result.step_losses)
-            run.failed += sum(1 for x in result.step_losses if not math.isfinite(x))
-    run.step_s = clock.times
+            if result is not None:
+                run.reps.append((result, model, run_dir, elapsed))
+            elif time.perf_counter() >= deadline:
+                break
+    run.op_s = clock.times
+    if learn:
+        tcfg = train_config(setup.cfg, TRAIN_LEARN_STEPS, TRAIN_LEARN_EVAL_INTERVAL, seed)
+        model, run_dir = build_model(setup.cfg), work_dir / "learned"
+        with StepClock() as clock:
+            result = train_call(setup, model, tcfg, run_dir, run, clock)
+        if result is not None:
+            run.learned = (result, model, run_dir, tcfg)
     return run
 
 
@@ -276,7 +299,8 @@ def summarize_train(setup: TrainSetup, run: TrainRun) -> Outcome:
     """Check the trained models and turn the timings into metrics.
 
     Every repeat trains the same model on the same batches, so all repeats
-    must produce the same losses.
+    must produce the same losses, and the quality call's first steps must
+    too. The quality metrics are reported only when that call was made.
     """
     out = Outcome(run.attempted, run.failed, list(run.problems))
     if not run.reps:
@@ -288,27 +312,40 @@ def summarize_train(setup: TrainSetup, run: TrainRun) -> Outcome:
             break
     out.problems += check_trained(result, model, run_dir, run.tcfg)
     tokens = target_tokens(setup.train_ids, run.tcfg)
-    test_loss, _ = training.evaluate(model, D.token_batches(setup.test_ids, run.tcfg.max_tokens))
     median_rep = statistics.median(seconds for *_, seconds in run.reps)
-    final_loss, final_acc = result.rows[-1]["loss"], result.rows[-1]["token_acc"]
-    step_p50, step_p95 = 1e3 * statistics.median(run.step_s), 1e3 * percentile(run.step_s, 95)
+    step_p50, step_p95 = 1e3 * statistics.median(run.op_s), 1e3 * percentile(run.op_s, 95)
     out.metrics = {
         "tokens_per_s": (tokens / median_rep, "tok/s"),
         "ops_per_s": (run.tcfg.steps / median_rep, "1/s"),
         "op_ms_p50": (step_p50, "ms"),
-        "objective_loss": (final_loss, "nats/tok"),
-        "heldout_loss": (test_loss, "nats/tok"),
-        "accuracy": (final_acc, "share"),
+        "op_ms_p95": (step_p95, "ms"),
     }
     out.names = {
         "train_tokens_per_s": (tokens / median_rep, "tok/s"),
         "train_step_ms_p50": (step_p50, "ms"),
         "train_step_ms_p95": (step_p95, "ms"),
-        "train_final_loss": (final_loss, "nats/tok"),
-        "val_loss": (result.final_val_loss, "nats/tok"),
-        "test_loss": (test_loss, "nats/tok"),
-        "train_token_acc": (final_acc, "share"),
     }
+    if run.learned is None:
+        return out
+    learned, model, run_dir, tcfg = run.learned
+    if learned.step_losses[:len(result.step_losses)] != result.step_losses:
+        out.problems.append("train: the quality call's first steps differ from the timed calls'")
+    out.problems += check_trained(learned, model, run_dir, tcfg)
+    pool = D.token_batches(setup.test_ids, tcfg.max_tokens)
+    test_loss, test_acc = training.evaluate(model, pool)
+    objective = smoothed_loss(model, pool, tcfg.label_smoothing)
+    out.metrics.update({
+        "objective_loss": (objective, "nats/tok"),
+        "heldout_loss": (test_loss, "nats/tok"),
+        "accuracy": (test_acc, "share"),
+    })
+    out.names.update({
+        "train_final_loss": (learned.rows[-1]["loss"], "nats/tok"),
+        "val_loss": (learned.final_val_loss, "nats/tok"),
+        "test_smoothed_loss": (objective, "nats/tok"),
+        "test_loss": (test_loss, "nats/tok"),
+        "test_token_acc": (test_acc, "share"),
+    })
     return out
 
 
@@ -357,7 +394,7 @@ def hypothesis_problem(hyp: list[int], ref: list[int]) -> str | None:
 @dataclass
 class DecodeRun:
     results: list = field(default_factory=list)    # (Sentence, hypothesis or exception)
-    sent_s: list[float] = field(default_factory=list)
+    op_s: list[float] = field(default_factory=list)    # seconds of each sentence
     wall_s: float = 0.0
 
 
@@ -380,7 +417,7 @@ def measure_decode(setup: DecodeSetup, seconds: float) -> DecodeRun:
                 hyp = training.beam_decode(setup.model, s.src, beam_size=beam, alpha=alpha)
             except Exception as exc:  # a failing sentence: count it, keep measuring
                 hyp = exc
-            run.sent_s.append(time.perf_counter() - t0)
+            run.op_s.append(time.perf_counter() - t0)
             run.results.append((s, hyp))
     run.wall_s = time.perf_counter() - start
     return run
@@ -396,7 +433,7 @@ def summarize_decode(setup: DecodeSetup, run: DecodeRun) -> Outcome:
         if k % block == 0:
             block_s.append(0.0)
             block_tokens.append(0)
-        block_s[-1] += run.sent_s[k]
+        block_s[-1] += run.op_s[k]
         out.attempted += 1
         if isinstance(hyp, Exception):
             problem = f"raised {hyp!r}"
@@ -412,7 +449,7 @@ def summarize_decode(setup: DecodeSetup, run: DecodeRun) -> Outcome:
 
     sent_rate = statistics.median(block / t for t in block_s)
     tok_rate = statistics.median(n / t for n, t in zip(block_tokens, block_s))
-    sent_p50, sent_p95 = 1e3 * statistics.median(run.sent_s), 1e3 * percentile(run.sent_s, 95)
+    sent_p50, sent_p95 = 1e3 * statistics.median(run.op_s), 1e3 * percentile(run.op_s, 95)
     batches = D.token_batches([(s.src, s.gold) for s in setup.sentences], 512)
     heldout, _ = training.evaluate(setup.model, batches)
     objective = smoothed_loss(setup.model, batches, setup.cfg["train"]["label_smoothing"])
@@ -421,6 +458,7 @@ def summarize_decode(setup: DecodeSetup, run: DecodeRun) -> Outcome:
         "tokens_per_s": (tok_rate, "tok/s"),
         "ops_per_s": (sent_rate, "1/s"),
         "op_ms_p50": (sent_p50, "ms"),
+        "op_ms_p95": (sent_p95, "ms"),
         "objective_loss": (objective, "nats/tok"),
         "heldout_loss": (heldout, "nats/tok"),
         "accuracy": (match, "share"),
