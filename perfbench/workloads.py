@@ -319,7 +319,6 @@ def summarize_train(setup: TrainSetup, run: TrainRun) -> Outcome:
         "tokens_per_s": (tokens / median_rep, "tok/s"),
         "ops_per_s": (run.tcfg.steps / median_rep, "1/s"),
         "op_ms_p50": (step_p50, "ms"),
-        "op_ms_p95": (step_p95, "ms"),
     }
     out.names = {
         "train_tokens_per_s": (tokens / median_rep, "tok/s"),
@@ -459,7 +458,6 @@ def summarize_decode(setup: DecodeSetup, run: DecodeRun) -> Outcome:
         "tokens_per_s": (tok_rate, "tok/s"),
         "ops_per_s": (sent_rate, "1/s"),
         "op_ms_p50": (sent_p50, "ms"),
-        "op_ms_p95": (sent_p95, "ms"),
         "objective_loss": (objective, "nats/tok"),
         "heldout_loss": (heldout, "nats/tok"),
         "accuracy": (match, "share"),
