@@ -15,9 +15,9 @@ import numpy as np
 
 from . import fusion as F
 from . import tensor as T
-from .data import token_batches
+from .data import BOS_ID, EOS_ID, token_batches
 from .errors import ConfigError, InvalidParameterError, ShapeError
-from .model import BOS_ID, EOS_ID, Seq2Seq
+from .model import Seq2Seq
 from .tensor import Rng, no_grad
 from .training import avg_output_length, corpus_bleu, evaluate, greedy_decode
 

@@ -16,6 +16,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -55,28 +56,37 @@ def load_checkpoint(path) -> dict:
     """Read records back as name -> numpy array."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != MAGIC:
+    offset = 0
+
+    def take(n: int, what: str) -> int:
+        """Offset of the next n bytes, which must all be present."""
+        nonlocal offset
+        if len(blob) - offset < n:
+            raise DataError(f"{path}: truncated checkpoint ({what} needs {n} bytes "
+                            f"at offset {offset}, file has {len(blob)})")
+        start = offset
+        offset += n
+        return start
+
+    start = take(4, "magic")
+    if blob[start:offset] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 4)
+    version, count = struct.unpack_from("<II", blob, take(8, "header"))
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
     out = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        tag, rank = struct.unpack_from("<BI", blob, offset)
-        offset += 5
-        dims = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
-        offset += 4 * rank
+        (name_len,) = struct.unpack_from("<I", blob, take(4, "name length"))
+        start = take(name_len, "name")
+        name = blob[start:offset].decode("utf-8")
+        tag, rank = struct.unpack_from("<BI", blob, take(5, f"{name!r} header"))
+        dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"{name!r} shape"))
         dtype = _TAG_DTYPES.get(tag)
         if dtype is None:
             raise DataError(f"{path}: unknown dtype tag {tag} for {name!r}")
-        n = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(blob, dtype=dtype, count=n, offset=offset).reshape(dims)
-        offset += n * dtype.itemsize
+        n = math.prod(dims)
+        start = take(n * dtype.itemsize, f"{name!r} payload")
+        arr = np.frombuffer(blob, dtype=dtype, count=n, offset=start).reshape(dims)
         out[name] = arr.astype(dtype.newbyteorder("="))
     if offset != len(blob):
         raise DataError(f"{path}: trailing bytes after last record")

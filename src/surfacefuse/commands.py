@@ -74,8 +74,6 @@ class RunConfig:
             "lambda": self.fusion.lambda_,
             "tau": self.fusion.tau,
             "p": self.fusion.dropconnect,
-            "dropconnect_on": self.fusion.dropconnect_on,
-            "renormalize_hard": self.fusion.renormalize_hard,
         }
         return {
             "seed": self.seed,
@@ -133,13 +131,24 @@ def _dataclass_from(cls, section: dict, path: str, defaults: dict | None = None)
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# Retired fusion options and the one value configs ever held for them;
+# run directories written before their removal still load.
+_RETIRED_FUSION = {"dropconnect_on": "raw", "renormalize_hard": False}
+
+
 def _fusion_from(section: dict) -> FusionConfig:
     if not isinstance(section, dict):
         raise ConfigError("fusion: expected a JSON object")
     rename = {"lambda": "lambda_", "p": "dropconnect"}
-    allowed = {"mode", "lambda", "tau", "p", "dropconnect_on", "renormalize_hard"}
+    allowed = {"mode", "lambda", "tau", "p"}
     kwargs = {}
     for key, value in section.items():
+        if key in _RETIRED_FUSION:
+            kept = _RETIRED_FUSION[key]
+            if type(value) is not type(kept) or value != kept:
+                raise ConfigError(f"fusion.{key}: retired option; only {kept!r} "
+                                  f"is still accepted, got {value!r}")
+            continue
         if key not in allowed:
             raise ConfigError(f"fusion.{key}: unknown field (allowed: {sorted(allowed)})")
         if isinstance(value, int) and key in ("lambda", "tau", "p"):

@@ -67,6 +67,7 @@ def fuse(outputs, m: int, w_hat: Tensor) -> Tensor:
     S[i, d] = sum_n w_hat[m, n, d] * X_n[i, d], where source 0 is the
     position-free embedding output and sources 1..N the encoder layers.
     `outputs` provides `.layers` and `.x_emb` (see model.LayerOutputs).
+    Coarse (M, L, 1) weights broadcast over the dimensions.
     """
     sources = [outputs.x_emb] + list(outputs.layers[1:])
     n_sources = w_hat.shape[1]
@@ -77,13 +78,6 @@ def fuse(outputs, m: int, w_hat: Tensor) -> Tensor:
         term = T.mul(layer, w_hat[m, n])
         mixed = term if mixed is None else mixed + term
     return mixed
-
-
-def coarse_fuse(outputs, m: int, scalar_w_hat: Tensor) -> Tensor:
-    """fuse() with one scalar weight per layer broadcast over dimensions."""
-    if scalar_w_hat.ndim == 2:
-        scalar_w_hat = T.reshape(scalar_w_hat, scalar_w_hat.shape + (1,))
-    return fuse(outputs, m, scalar_w_hat)
 
 
 def mask_layer(w_hat: Tensor, n: int) -> Tensor:
@@ -116,29 +110,20 @@ def uppermost_sources(outputs, w_hat_two_way: Tensor, n_dec_layers: int) -> list
 
 
 def decoder_sources(outputs, weights: FusionWeights, mode: str, n_dec_layers: int,
-                    rng: Rng | None, training: bool, layer_mask: int | None = None,
-                    dropconnect_on: str = "raw") -> list[Tensor]:
+                    rng: Rng | None, training: bool, layer_mask: int | None = None) -> list[Tensor]:
     """Source representation fed to each decoder layer's cross-attention.
 
-    Returns one tensor per decoder layer. `layer_mask` applies the masking
-    diagnostic to the normalized weights before mixing (fine/coarse only
-    over the full source list; for the uppermost variant the maskable
-    sources are {0: embeddings, 1: final}). DropConnect hits the raw logits
-    by default; dropconnect_on="normalized" drops the softmaxed weights
-    instead, in which case they no longer sum to 1 during training.
+    Returns one tensor per decoder layer. DropConnect hits the raw logits
+    while training. `layer_mask` applies the masking diagnostic to the
+    normalized weights before mixing (fine/coarse over the full source
+    list; for the uppermost variant the maskable sources are
+    {0: embeddings, 1: final}).
     """
     if mode not in LAYER_FUSION_MODES:
         raise InvalidParameterError(f"no fusion sources for mode {mode!r}")
-    raw = weights.raw
-    if training and weights.p > 0.0 and dropconnect_on == "raw":
-        raw = dropconnect(raw, weights.p, rng, training)
-    w_hat = normalize_weights(raw)
-    if training and weights.p > 0.0 and dropconnect_on == "normalized":
-        w_hat = dropconnect(w_hat, weights.p, rng, training)
+    w_hat = normalize_weights(dropconnect(weights.raw, weights.p, rng, training))
     if layer_mask is not None:
         w_hat = mask_layer(w_hat, layer_mask)
     if mode == "fine-uppermost":
         return uppermost_sources(outputs, w_hat, n_dec_layers)
-    if mode == "coarse":
-        return [coarse_fuse(outputs, m, w_hat) for m in range(n_dec_layers)]
     return [fuse(outputs, m, w_hat) for m in range(n_dec_layers)]

@@ -143,14 +143,10 @@ class MultiHeadAttentionLayer:
         self.wk = Linear(f"{name}.wk", dim, dim, rng, dtype)
         self.wv = Linear(f"{name}.wv", dim, dim, rng, dtype)
         self.wo = Linear(f"{name}.wo", dim, dim, rng, dtype)
-        self.last_weights: np.ndarray | None = None
 
     def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        out, weights = multi_head_attention(
-            self.wq(q_in), self.wk(k_in), self.wv(v_in),
-            mask=mask, n_heads=self.n_heads, return_weights=True,
-        )
-        self.last_weights = weights.data
+        out = multi_head_attention(self.wq(q_in), self.wk(k_in), self.wv(v_in),
+                                   mask=mask, n_heads=self.n_heads)
         return self.wo(out)
 
     def named_parameters(self):

@@ -20,6 +20,7 @@ import numpy as np
 from . import fusion as F
 from . import surface as S
 from . import tensor as T
+from .data import BOS_ID, PAD_ID
 from .errors import ConfigError, InvalidParameterError, SequenceLengthError
 from .layers import (
     FeedForward,
@@ -31,11 +32,6 @@ from .layers import (
     sinusoid_positions,
 )
 from .tensor import Rng, Tensor
-
-PAD_ID = 0
-BOS_ID = 1
-EOS_ID = 2
-UNK_ID = 3
 
 
 @dataclass
@@ -82,7 +78,6 @@ class LayerOutputs:
 
     layers: list[Tensor]
     x_emb: Tensor
-    src_ids: np.ndarray
     attn_mask: np.ndarray = field(repr=False)
 
 
@@ -235,7 +230,7 @@ class Seq2Seq:
         for i, layer in enumerate(self.enc_layers):
             x = layer(x, mask, self._dropper(f"enc{i}", training), training)
             layers.append(x)
-        return LayerOutputs(layers=layers, x_emb=x_emb, src_ids=src_ids, attn_mask=mask)
+        return LayerOutputs(layers=layers, x_emb=x_emb, attn_mask=mask)
 
     def _sources(self, outputs: LayerOutputs, training: bool) -> list[Tensor]:
         cfg = self.fusion_cfg
@@ -249,7 +244,6 @@ class Seq2Seq:
             self._dropconnect_rng,
             training,
             layer_mask=self.layer_mask,
-            dropconnect_on=cfg.dropconnect_on,
         )
 
     def decode(self, tgt_in_ids: np.ndarray, outputs: LayerOutputs, training: bool = False,
@@ -326,8 +320,7 @@ class Seq2Seq:
         mode = self.fusion_cfg.mode
         if mode == "surface-hard":
             log_p_dec = T.log_softmax(logits, axis=-1)
-            score = S.hard_fuse(log_p_dec, decoded["surface_log_p"], self.fusion_cfg.lambda_,
-                                renormalize=self.fusion_cfg.renormalize_hard)
+            score = S.hard_fuse(log_p_dec, decoded["surface_log_p"], self.fusion_cfg.lambda_)
             decoded["log_p_decoder"] = log_p_dec
         elif mode == "surface-soft":
             score = S.soft_fuse(logits, decoded["surface_log_p"])

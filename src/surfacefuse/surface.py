@@ -28,21 +28,16 @@ class FusionConfig:
     """How (and whether) encoder layers are fused into the decoder.
 
     lambda_ is the hard-fusion interpolation weight; tau the surface softmax
-    temperature (1 works for hard fusion, 5 for soft); dropconnect applies
-    to the raw layer-attention weights in the layer-fusion modes. The raw
-    (unnormalized) weights are what DropConnect zeroes by default; set
-    dropconnect_on="normalized" to drop the softmaxed weights instead.
-    renormalize_hard turns the hard-fused score back into a proper
-    log-distribution before use (off by default: the interpolated score is
-    used directly for the loss and for ranking).
+    temperature (1 works for hard fusion, 5 for soft); dropconnect is the
+    probability of zeroing each raw (pre-softmax) layer-attention logit
+    while training the layer-fusion modes. The hard-fused score is used
+    unnormalized, for the loss and for ranking alike.
     """
 
     mode: str = "none"
     lambda_: float = 0.9
     tau: float = 1.0
     dropconnect: float = 0.0
-    dropconnect_on: str = "raw"
-    renormalize_hard: bool = False
 
     def validate(self) -> None:
         if self.mode not in FUSION_MODES:
@@ -53,8 +48,6 @@ class FusionConfig:
             raise ConfigError(f"fusion tau must be > 0, got {self.tau}")
         if not 0.0 <= self.dropconnect < 1.0:
             raise ConfigError(f"dropconnect must be in [0, 1), got {self.dropconnect}")
-        if self.dropconnect_on not in ("raw", "normalized"):
-            raise ConfigError(f"dropconnect_on must be 'raw' or 'normalized', got {self.dropconnect_on!r}")
 
     @property
     def is_layer_fusion(self) -> bool:
@@ -82,18 +75,12 @@ class SurfaceHead:
 
     def __call__(self, decoder_out: Tensor, encoder_final: Tensor, x_emb: Tensor,
                  src_mask: np.ndarray | None = None) -> Tensor:
-        return surface_attention(self.attn, decoder_out, encoder_final, x_emb, src_mask)
+        """r = attention(query=decoder output, keys=final encoder layer,
+        values=position-free embeddings), rows convex in the projected values."""
+        return self.attn(decoder_out, encoder_final, x_emb, mask=src_mask)
 
     def named_parameters(self):
         yield from self.attn.named_parameters()
-
-
-def surface_attention(attn: MultiHeadAttentionLayer, decoder_out: Tensor,
-                      encoder_final: Tensor, x_emb: Tensor,
-                      src_mask: np.ndarray | None = None) -> Tensor:
-    """r = attention(query=decoder output, keys=final encoder layer,
-    values=position-free embeddings), rows convex in the projected values."""
-    return attn(decoder_out, encoder_final, x_emb, mask=src_mask)
 
 
 def surface_logits(r: Tensor, presoftmax_w: Tensor) -> Tensor:
@@ -105,31 +92,22 @@ def surface_logits(r: Tensor, presoftmax_w: Tensor) -> Tensor:
     return T.matmul(r, T.transpose(presoftmax_w, (1, 0)))
 
 
-def surface_probability(r: Tensor, presoftmax_w: Tensor, tau: float) -> Tensor:
-    """Row-stochastic source-only distribution softmax(r V / tau)."""
-    return T.softmax_temp(surface_logits(r, presoftmax_w), tau=tau, axis=-1)
-
-
 def surface_log_probability(r: Tensor, presoftmax_w: Tensor, tau: float) -> Tensor:
-    """log of surface_probability computed stably in log space."""
+    """Source-only log-distribution log softmax(r V / tau), computed stably."""
     if not tau > 0:
         raise InvalidParameterError(f"surface temperature must be > 0, got {tau}")
     return T.log_softmax(surface_logits(r, presoftmax_w) * (1.0 / tau), axis=-1)
 
 
-def hard_fuse(log_p_decoder: Tensor, log_p_surface: Tensor, lambda_: float,
-              renormalize: bool = False) -> Tensor:
+def hard_fuse(log_p_decoder: Tensor, log_p_surface: Tensor, lambda_: float) -> Tensor:
     """lambda * log P(y|prefix, x) + (1 - lambda) * log P(y|x).
 
-    The result is an unnormalized log-score unless `renormalize` is set;
-    within a position it ranks tokens identically either way.
+    The result is an unnormalized log-score; within a position it ranks
+    tokens as its renormalized form would.
     """
     if not 0.0 <= lambda_ <= 1.0:
         raise InvalidParameterError(f"hard fusion lambda must be in [0, 1], got {lambda_}")
-    fused = log_p_decoder * lambda_ + log_p_surface * (1.0 - lambda_)
-    if renormalize:
-        fused = T.log_softmax(fused, axis=-1)
-    return fused
+    return log_p_decoder * lambda_ + log_p_surface * (1.0 - lambda_)
 
 
 def soft_fuse(decoder_logits: Tensor, log_p_surface: Tensor) -> Tensor:
@@ -194,10 +172,6 @@ class SurfaceDecodeState:
         r = ctx @ self.wo_w + self.wo_b
         return (r @ self._vocab_proj(presoftmax_w)) / self.tau
 
-    def log_p(self, decoder_last: np.ndarray, presoftmax_w: np.ndarray) -> np.ndarray:
-        """Surface log-distribution for the final decoder position."""
-        return _log_softmax_np(self.surface_logits(decoder_last, presoftmax_w))
-
     def fused_scores(self, decoder_logits: np.ndarray, decoder_last: np.ndarray,
                      presoftmax_w: np.ndarray, cfg: FusionConfig) -> np.ndarray:
         """Mode-matched fused score, computed without the autograd graph.
@@ -209,8 +183,5 @@ class SurfaceDecodeState:
         s_logits = self.surface_logits(decoder_last, presoftmax_w)
         if cfg.mode == "surface-soft":
             return _log_softmax_np(decoder_logits + s_logits)
-        fused = (cfg.lambda_ * _log_softmax_np(decoder_logits)
-                 + (1.0 - cfg.lambda_) * _log_softmax_np(s_logits))
-        if cfg.renormalize_hard:
-            fused = _log_softmax_np(fused)
-        return fused
+        return (cfg.lambda_ * _log_softmax_np(decoder_logits)
+                + (1.0 - cfg.lambda_) * _log_softmax_np(s_logits))

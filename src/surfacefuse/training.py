@@ -17,8 +17,9 @@ import numpy as np
 
 from . import data as D
 from .checkpoint import load_checkpoint, save_checkpoint
+from .data import BOS_ID, EOS_ID, PAD_ID
 from .errors import ConfigError, InvalidParameterError, NumericError
-from .model import BOS_ID, EOS_ID, PAD_ID, Seq2Seq
+from .model import Seq2Seq
 from .tensor import Tensor, no_grad
 
 
@@ -312,11 +313,6 @@ def beam_decode(model: Seq2Seq, src_ids, beam_size: int = 4, alpha: float = 0.0,
     if ids and ids[-1] == EOS_ID:
         ids = ids[:-1]
     return ids
-
-
-def decode_corpus(model: Seq2Seq, src_sequences, beam_size: int = 1, alpha: float = 0.0,
-                  max_len: int | None = None) -> list[list[int]]:
-    return [beam_decode(model, src, beam_size, alpha, max_len) for src in src_sequences]
 
 
 # ---------------------------------------------------------------------------

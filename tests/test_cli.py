@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +268,55 @@ class TestDecodeCommand:
         first = payload[0]["tokens"][0]
         assert set(first) == {"position", "token_id", "token", "fused", "base", "surface"}
         assert first["surface"] is not None  # surface mode fills all three scores
+
+
+class TestOldRunDirectories:
+    """config.json files written before the retired fusion options went away."""
+
+    def write_old_config(self, run, **retired):
+        cfg = json.loads((run / "config.json").read_text())
+        cfg["fusion"].update({"dropconnect_on": "raw", "renormalize_hard": False})
+        cfg["fusion"].update(retired)
+        (run / "config.json").write_text(json.dumps(cfg))
+
+    def test_retired_defaults_still_decode(self, trained_run, tmp_path):
+        self.write_old_config(trained_run)
+        assert main(["decode", "--ckpt", str(trained_run / "best.ckpt"),
+                     "--out", str(tmp_path / "h.txt")]) == 0
+        assert len((tmp_path / "h.txt").read_text().splitlines()) == 12
+
+    @pytest.mark.parametrize("key,value", [("renormalize_hard", True),
+                                           ("dropconnect_on", "normalized"),
+                                           ("renormalize_hard", 0)])
+    def test_retired_non_default_is_rejected(self, trained_run, capsys, key, value):
+        self.write_old_config(trained_run, **{key: value})
+        assert main(["decode", "--ckpt", str(trained_run / "best.ckpt")]) == 1
+        assert f"fusion.{key}:" in capsys.readouterr().err
+
+    def test_new_configs_omit_retired_keys(self, trained_run):
+        fusion = json.loads((trained_run / "config.json").read_text())["fusion"]
+        assert set(fusion) == {"mode", "lambda", "tau", "p"}
+
+
+class TestTruncatedCheckpoint:
+    def test_decode_exits_1(self, trained_run, capsys):
+        full = (trained_run / "best.ckpt").read_bytes()
+        for size in (6, 14, 20, len(full) // 2, len(full) - 1):
+            (trained_run / "best.ckpt").write_bytes(full[:size])
+            assert main(["decode", "--ckpt", str(trained_run / "best.ckpt")]) == 1
+            assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_decode_prints_no_traceback(self, trained_run):
+        ckpt = trained_run / "best.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:14])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, SURFACEFUSE_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "surfacefuse", "decode", "--ckpt", str(ckpt)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "truncated checkpoint" in proc.stderr
 
 
 class TestGradcheckCommand:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from surfacefuse.errors import DegenerateMaskError, InvalidParameterError
 from surfacefuse.fusion import (
     FusionWeights,
-    coarse_fuse,
     decoder_sources,
     dropconnect,
     fuse,
@@ -171,12 +170,14 @@ class TestMaskLayer:
 
 
 class TestCoarseFuse:
+    """Coarse weights are (M, L, 1); fuse broadcasts them over dimensions."""
+
     def test_equals_fine_with_constant_weights(self):
         rng = Rng(6)
         outputs = random_outputs(rng, 2, i=3, d=4)
         scalars = normalize_weights(Tensor(rng.spawn("s").normal(0, 1, (2, 3, 1))))
         fine = np.repeat(scalars.data, 4, axis=2)
-        a = coarse_fuse(outputs, 1, scalars)
+        a = fuse(outputs, 1, scalars)
         b = fuse(outputs, 1, Tensor(fine))
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
@@ -185,19 +186,32 @@ class TestCoarseFuse:
         outputs = random_outputs(rng, 2, i=3, d=4)
         raw = np.full((1, 3, 1), -60.0)
         raw[0, 0, 0] = 60.0  # embeddings only
-        s = coarse_fuse(outputs, 0, normalize_weights(Tensor(raw)))
+        s = fuse(outputs, 0, normalize_weights(Tensor(raw)))
         np.testing.assert_allclose(s.data, outputs.x_emb.data, atol=1e-12)
 
     def test_random_scalars_match_loop(self):
         rng = Rng(10)
         outputs = random_outputs(rng, 1, i=2, d=3)
         scalars = normalize_weights(Tensor(rng.spawn("s").normal(0, 1, (1, 2, 1))))
-        s = coarse_fuse(outputs, 0, scalars)
+        s = fuse(outputs, 0, scalars)
         sources = [outputs.x_emb.data, outputs.layers[1].data]
         expected = np.zeros((1, 2, 3))
         for n, src in enumerate(sources):
             expected += scalars.data[0, n, 0] * src
         np.testing.assert_allclose(s.data, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("layer_mask", [None, 1])
+    def test_decoder_sources_coarse_equals_fine_with_repeated_scalars(self, layer_mask):
+        rng = Rng(12)
+        outputs = random_outputs(rng, 2, i=3, d=4)
+        coarse = FusionWeights(2, 3, 1)
+        coarse.raw.data[:] = rng.spawn("s").normal(0, 1, (2, 3, 1))
+        fine = FusionWeights(2, 3, 4)
+        fine.raw.data[:] = np.repeat(coarse.raw.data, 4, axis=2)
+        a = decoder_sources(outputs, coarse, "coarse", 2, None, False, layer_mask=layer_mask)
+        b = decoder_sources(outputs, fine, "fine", 2, None, False, layer_mask=layer_mask)
+        for x, y in zip(a, b):
+            np.testing.assert_allclose(x.data, y.data, atol=1e-12)
 
 
 class TestUppermostMode:

@@ -6,7 +6,7 @@ import pytest
 
 from surfacefuse.checkpoint import load_checkpoint, save_checkpoint
 from surfacefuse.data import encode_pairs, gen_copy, make_batch, token_batches, vocab_for_task
-from surfacefuse.errors import ConfigError, InvalidParameterError, NumericError
+from surfacefuse.errors import ConfigError, DataError, InvalidParameterError, NumericError
 from surfacefuse.model import ModelConfig, Seq2Seq
 from surfacefuse.surface import FusionConfig
 from surfacefuse.tensor import Rng, Tensor
@@ -122,6 +122,19 @@ class TestTrainLoop:
         resaved = tmp_path / "resaved.ckpt"
         save_checkpoint(resaved, load_checkpoint(path))
         assert path.read_bytes() == resaved.read_bytes()
+
+    def test_truncated_checkpoint_is_data_error_at_every_cut(self, tmp_path):
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(path, {"a.scalar": np.array(2.5),
+                               "b.matrix": np.arange(6, dtype=np.float32).reshape(2, 3),
+                               "c.vector": np.linspace(0.0, 1.0, 4)})
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(DataError, match="truncated checkpoint"):
+                load_checkpoint(cut)
+        assert set(load_checkpoint(path)) == {"a.scalar", "b.matrix", "c.vector"}
 
     def test_resume_continues_step_count(self, tmp_path):
         train_ids, valid_ids, _, vocab = toy_dataset()
