@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Train a fine-grained layer-attention model on the cipher task, then run
 the layer diagnostics: attention heatmap, per-layer masking sweep, and the
-expressivity spectra of the embedding dimensions split by attention weight."""
+expressivity spectra of the embedding dimensions split by attention weight.
+
+Runs `surfacefuse gen` into <out>/data, `surfacefuse train` into <out> and
+`surfacefuse analyze heatmap|mask-sweep|svd` on <out>/last.ckpt."""
 
 import argparse
+import json
 import os
 import sys
 
@@ -11,21 +15,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from surfacefuse.analysis import (
-    heatmap,
-    mask_sweep,
-    normalized_fusion_weights,
-    split_dims_by_attention,
-    svd_spectrum,
-    write_heatmap_pgm,
-    write_json,
-    write_spectrum_csv,
-)
-from surfacefuse.data import encode_pairs, gen_cipher, make_cipher_task, vocab_for_task
-from surfacefuse.model import ModelConfig, Seq2Seq
-from surfacefuse.surface import FusionConfig
-from surfacefuse.tensor import Rng
-from surfacefuse.training import TrainConfig, train
+from surfacefuse.cli import build_parser
+from surfacefuse.commands import generate_dataset, run_analyze, run_train
+
+
+def analyze(kind, ckpt, *flags):
+    return run_analyze(build_parser().parse_args(["analyze", kind, "--ckpt", ckpt, *flags]))
 
 
 def main():
@@ -38,44 +33,40 @@ def main():
     ap.add_argument("--out", default="runs/cipher_layer_study")
     args = ap.parse_args()
 
-    root = Rng(args.seed)
-    task = make_cipher_task(args.vocab_size, args.shared_fraction, root.spawn("perm"))
-    vocab = vocab_for_task(args.vocab_size)
-    train_ids = encode_pairs(gen_cipher(task, 5000, (5, 12), root.spawn("gen:train")), vocab)
-    valid_ids = encode_pairs(gen_cipher(task, 200, (5, 12), root.spawn("gen:valid")), vocab)
-    test_ids = encode_pairs(gen_cipher(task, 300, (5, 12), root.spawn("gen:test")), vocab)
+    data_dir = os.path.join(args.out, "data")
+    generate_dataset(build_parser().parse_args([
+        "gen", "--task", "cipher", "--out", data_dir, "--seed", str(args.seed),
+        "--n-train", "5000", "--n-valid", "200", "--n-test", "300",
+        "--len-min", "5", "--len-max", "12", "--vocab-size", str(args.vocab_size),
+        "--shared-fraction", str(args.shared_fraction)]))
+    config = {
+        "seed": args.seed, "out": args.out, "data": {"dir": data_dir},
+        "model": {"n_enc_layers": args.n_enc_layers, "n_dec_layers": 2, "d_model": 64,
+                  "n_heads": 4, "d_ff": 128, "max_len": 32, "dtype": "float32"},
+        "fusion": {"mode": "fine", "p": 0.3},
+        "train": {"steps": args.steps, "max_tokens": 512, "eval_interval": 200, "warmup": 200,
+                  "lr": 2e-3, "seed": args.seed + 100},
+    }
+    config_path = os.path.join(args.out, "config.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh, indent=2)
+    run_train(config_path, {})
 
-    cfg = ModelConfig(n_enc_layers=args.n_enc_layers, n_dec_layers=2, d_model=64,
-                      n_heads=4, d_ff=128, vocab_src=len(vocab), vocab_tgt=len(vocab),
-                      max_len=32, dtype="float32")
-    model = Seq2Seq(cfg, FusionConfig(mode="fine", dropconnect=0.3), seed=args.seed)
-    tcfg = TrainConfig(steps=args.steps, max_tokens=512, eval_interval=200, warmup=200,
-                       lr=2e-3, seed=args.seed + 100)
-    os.makedirs(args.out, exist_ok=True)
-    train(model, train_ids, valid_ids, tcfg, out_dir=args.out)
-
-    report = heatmap(model)
-    write_json(os.path.join(args.out, "heatmap.json"), report.to_dict())
-    write_heatmap_pgm(os.path.join(args.out, "heatmap.pgm"), report.matrix)
+    ckpt = os.path.join(args.out, "last.ckpt")
+    report = analyze("heatmap", ckpt)
     print("mean fusion weight per (decoder layer, encoder source):")
-    print("  sources:", report.encoder_labels)
-    for label, row in zip(report.decoder_labels, report.matrix):
+    print("  sources:", report["encoder_layers"])
+    for label, row in zip(report["decoder_layers"], np.asarray(report["matrix"])):
         print(f"  decoder {label}:", np.round(row, 3).tolist())
 
-    rows = mask_sweep(model, test_ids, metric="acc", decode_limit=100)
-    write_json(os.path.join(args.out, "mask_sweep.json"), {"rows": rows})
     print("masking sweep (relative changes vs unmasked):")
-    for r in rows:
+    for r in analyze("mask-sweep", ckpt)["rows"]:
         print(f"  mask {r['layer']:>4}: d_acc={r['d_metric']:+.4f} d_len={r['d_len']:+.4f}")
 
-    w = normalized_fusion_weights(model)
-    splits = split_dims_by_attention(model.src_embed.data, w[-1, 0, :],
-                                     Rng(args.seed).spawn("dim-split"))
+    spectra = analyze("svd", ckpt, "--seed", str(args.seed))["spectra"]
     print("summed log normalized singular values of embedding column splits:")
-    for key, label in (("more", "more-attended"), ("random", "random"), ("less", "less-attended")):
-        report = svd_spectrum(splits[key], label)
-        write_spectrum_csv(os.path.join(args.out, f"spectrum_{label}.csv"), report)
-        print(f"  {label:>14}: {report.log_values.sum():.2f}")
+    for label in ("more-attended", "random", "less-attended"):
+        print(f"  {label:>14}: {spectra[label]['sum_log_sigma']:.2f}")
 
 
 if __name__ == "__main__":

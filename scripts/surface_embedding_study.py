@@ -1,20 +1,27 @@
 #!/usr/bin/env python3
 """Train vanilla and surface-soft models on the same cipher data with the
 same budget; compare aligned-embedding cosines (all / non-shared pairs) and
-the decay of the embedding singular-value spectrum."""
+the decay of the embedding singular-value spectrum.
+
+Runs `surfacefuse gen` into <out>/data, then for each mode `surfacefuse
+train` into <out>/<mode> and `surfacefuse analyze embed-sim|svd` on its
+last.ckpt; the summary goes to <out>/report.json."""
 
 import argparse
+import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from surfacefuse.analysis import embed_cosine, svd_spectrum, write_json, write_spectrum_csv
-from surfacefuse.data import encode_pairs, gen_cipher, make_cipher_task, token_batches, vocab_for_task
-from surfacefuse.model import ModelConfig, Seq2Seq
-from surfacefuse.surface import FusionConfig
-from surfacefuse.tensor import Rng
-from surfacefuse.training import TrainConfig, evaluate, train
+from surfacefuse.cli import build_parser
+from surfacefuse.commands import generate_dataset, model_from_run_dir, run_analyze, run_train
+from surfacefuse.data import token_batches
+from surfacefuse.training import evaluate
+
+
+def analyze(kind, ckpt):
+    return run_analyze(build_parser().parse_args(["analyze", kind, "--ckpt", ckpt]))
 
 
 def main():
@@ -26,35 +33,45 @@ def main():
     ap.add_argument("--out", default="runs/surface_embedding_study")
     args = ap.parse_args()
 
-    root = Rng(0)
-    task = make_cipher_task(args.vocab_size, 0.25, root.spawn("perm"))
-    vocab = vocab_for_task(args.vocab_size)
-    train_ids = encode_pairs(gen_cipher(task, 5000, (5, 12), root.spawn("gen:train")), vocab)
-    valid_ids = encode_pairs(gen_cipher(task, 200, (5, 12), root.spawn("gen:valid")), vocab)
-    alignment = [(vocab.encode([s])[0], vocab.encode([t])[0]) for s, t in task.alignment]
+    # the data seed stays 0 so every model seed trains on the same corpus
+    data_dir = os.path.join(args.out, "data")
+    generate_dataset(build_parser().parse_args([
+        "gen", "--task", "cipher", "--out", data_dir, "--seed", "0",
+        "--n-train", "5000", "--n-valid", "200", "--n-test", "300",
+        "--len-min", "5", "--len-max", "12", "--vocab-size", str(args.vocab_size),
+        "--shared-fraction", "0.25"]))
 
-    os.makedirs(args.out, exist_ok=True)
     results = {}
     for mode in ("none", "surface-soft"):
-        cfg = ModelConfig(n_enc_layers=2, n_dec_layers=2, d_model=32, n_heads=4, d_ff=64,
-                          vocab_src=len(vocab), vocab_tgt=len(vocab), max_len=32,
-                          dtype="float32")
-        model = Seq2Seq(cfg, FusionConfig(mode=mode, tau=args.tau), seed=args.seed)
-        tcfg = TrainConfig(steps=args.steps, max_tokens=512, eval_interval=args.steps,
-                           warmup=200, lr=2e-3, seed=args.seed + 100)
-        train(model, train_ids, valid_ids, tcfg, out_dir=None)
-        _, acc = evaluate(model, token_batches(valid_ids, 1024))
-        spectrum = svd_spectrum(model.src_embed.data, label=mode)
-        write_spectrum_csv(os.path.join(args.out, f"embedding_spectrum_{mode}.csv"), spectrum)
+        run_dir = os.path.join(args.out, mode)
+        config = {
+            "seed": args.seed, "out": run_dir, "data": {"dir": data_dir},
+            "model": {"n_enc_layers": 2, "n_dec_layers": 2, "d_model": 32, "n_heads": 4,
+                      "d_ff": 64, "max_len": 32, "dtype": "float32"},
+            "fusion": {"mode": mode, "tau": args.tau},
+            "train": {"steps": args.steps, "max_tokens": 512, "eval_interval": args.steps,
+                      "warmup": 200, "lr": 2e-3, "seed": args.seed + 100},
+        }
+        os.makedirs(run_dir, exist_ok=True)
+        config_path = os.path.join(run_dir, "config.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh, indent=2)
+        run_train(config_path, {})
+
+        ckpt = os.path.join(run_dir, "last.ckpt")
+        model, _, dataset = model_from_run_dir(ckpt)
+        _, acc = evaluate(model, token_batches(dataset["ids"]["valid"], 1024))
+        cosine = analyze("embed-sim", ckpt)["mean_cosine"]
+        spectrum = analyze("svd", ckpt)["spectra"]["full-embedding"]
         results[mode] = {
             "valid_acc": acc,
-            "cosine_all": embed_cosine(model.src_embed.data, model.tgt_embed.data,
-                                       alignment, "all"),
-            "cosine_non_shared": embed_cosine(model.src_embed.data, model.tgt_embed.data,
-                                              alignment, "non-shared"),
-            "sum_log_sigma": float(spectrum.log_values.sum()),
+            "cosine_all": cosine["all"],
+            "cosine_non_shared": cosine["non-shared"],
+            "sum_log_sigma": spectrum["sum_log_sigma"],
         }
-    write_json(os.path.join(args.out, "report.json"), results)
+    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
+        json.dump(results, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     for mode, r in results.items():
         print(f"{mode:>13}: acc={r['valid_acc']:.4f} cos_all={r['cosine_all']:.3f} "
               f"cos_non_shared={r['cosine_non_shared']:.3f} "

@@ -73,12 +73,10 @@ def heatmap(model: Seq2Seq) -> HeatmapReport:
     w = normalized_fusion_weights(model)
     matrix = w.mean(axis=2)
     if model.fusion_cfg.mode == "fine-uppermost":
-        enc_labels = ["emb", str(model.config.n_enc_layers)]
         dec_labels = [str(model.config.n_dec_layers)]
     else:
-        enc_labels = ["emb"] + [str(i) for i in range(1, model.config.n_enc_layers + 1)]
         dec_labels = [str(m + 1) for m in range(model.config.n_dec_layers)]
-    return HeatmapReport(matrix.astype(np.float64), dec_labels, enc_labels)
+    return HeatmapReport(matrix.astype(np.float64), dec_labels, source_labels(model))
 
 
 def source_labels(model: Seq2Seq) -> list[str]:

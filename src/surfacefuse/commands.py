@@ -34,12 +34,20 @@ SPLITS = ("train", "valid", "test")
 
 
 @dataclasses.dataclass
+class DataConfig:
+    """Where a run reads its dataset; min_freq overrides the one in task.json."""
+
+    dir: str
+    min_freq: int | None = None
+
+
+@dataclasses.dataclass
 class RunConfig:
     """Fully resolved description of one experiment."""
 
     seed: int
     out: str | None
-    data: dict
+    data: DataConfig
     model: ModelConfig
     fusion: FusionConfig
     train: TrainConfig
@@ -48,115 +56,87 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {"seed", "out", "data", "model", "fusion", "train"}
+        known = {f.name for f in dataclasses.fields(cls)}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"{key}: unknown config section")
-        seed = _expect(raw, "seed", int, default=0)
-        out = raw.get("out")
-        data = raw.get("data")
-        if not isinstance(data, dict) or "dir" not in data:
-            raise ConfigError("data.dir: missing required key (path to a dataset directory)")
-        for key in data:
-            if key not in ("dir", "min_freq"):
-                raise ConfigError(f"data.{key}: unknown field (allowed: dir, min_freq)")
+        seed = _check_field_type("seed", "int", raw.get("seed", 0))
+        out = _check_field_type("out", "str | None", raw.get("out"))
+        data = _dataclass_from(DataConfig, raw.get("data", {}), "data")
         model = _dataclass_from(ModelConfig, raw.get("model", {}), "model",
                                 defaults={"vocab_src": 0, "vocab_tgt": 0})
-        fusion = _fusion_from(raw.get("fusion", {}))
+        fusion = _dataclass_from(FusionConfig, raw.get("fusion", {}), "fusion",
+                                 json_names=_FUSION_JSON_NAMES, retired=_RETIRED_FUSION)
+        fusion.validate()
         train_cfg = _dataclass_from(TrainConfig, raw.get("train", {}), "train")
         if "seed" not in raw.get("train", {}):
             train_cfg.seed = seed
         return cls(seed=seed, out=out, data=data, model=model, fusion=fusion, train=train_cfg)
 
     def to_dict(self) -> dict:
-        fusion = {
-            "mode": self.fusion.mode,
-            "lambda": self.fusion.lambda_,
-            "tau": self.fusion.tau,
-            "p": self.fusion.dropconnect,
-        }
+        fusion = dataclasses.asdict(self.fusion)
         return {
             "seed": self.seed,
             "out": self.out,
-            "data": self.data,
+            "data": {k: v for k, v in dataclasses.asdict(self.data).items() if v is not None},
             "model": dataclasses.asdict(self.model),
-            "fusion": fusion,
+            "fusion": {key: fusion[name] for key, name in _FUSION_JSON_NAMES.items()},
             "train": dataclasses.asdict(self.train),
         }
 
 
-def _expect(section: dict, key: str, kind, default=None, path: str = ""):
-    loc = f"{path}.{key}" if path else key
-    if key not in section:
-        return default
-    value = section[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(f"{loc}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _check_field_type(loc: str, annotation: str, value):
-    """Coerce/validate a JSON value against a dataclass field annotation."""
-    kind = annotation.split("|")[0].strip() if isinstance(annotation, str) else annotation.__name__
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{loc}: expected bool, got {type(value).__name__}")
-    elif kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{loc}: expected int, got {type(value).__name__}")
-    elif kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{loc}: expected float, got {type(value).__name__}")
-        value = float(value)
-    elif kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{loc}: expected str, got {type(value).__name__}")
-    return value
-
-
-def _dataclass_from(cls, section: dict, path: str, defaults: dict | None = None):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = dict(defaults or {})
-    for key, value in section.items():
-        if key not in fields:
-            raise ConfigError(f"{path}.{key}: unknown field")
-        kwargs[key] = _check_field_type(f"{path}.{key}", fields[key].type, value)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
+# JSON key -> FusionConfig field, in config.json order
+_FUSION_JSON_NAMES = {"mode": "mode", "lambda": "lambda_", "tau": "tau", "p": "dropconnect"}
 
 # Retired fusion options and the one value configs ever held for them;
 # run directories written before their removal still load.
 _RETIRED_FUSION = {"dropconnect_on": "raw", "renormalize_hard": False}
 
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
-def _fusion_from(section: dict) -> FusionConfig:
+
+def _check_field_type(loc: str, annotation: str, value):
+    """Coerce/validate a JSON value against a dataclass field annotation."""
+    kinds = [k.strip() for k in annotation.split("|")]
+    if value is None and "None" in kinds:
+        return None
+    kind = kinds[0]
+    expected = _JSON_TYPES.get(kind)
+    if expected is not None and (not isinstance(value, expected)
+                                 or (isinstance(value, bool) and kind != "bool")):
+        raise ConfigError(f"{loc}: expected {kind}, got {type(value).__name__}")
+    return float(value) if kind == "float" else value
+
+
+def _dataclass_from(cls, section: dict, path: str, defaults: dict | None = None,
+                    json_names: dict | None = None, retired: dict | None = None):
+    """Build a config dataclass from one JSON section, checking every value.
+
+    `json_names` maps each accepted JSON key to its field (default: the
+    field names themselves); `retired` maps keys that are still read, and
+    dropped, to the one value they may hold.
+    """
     if not isinstance(section, dict):
-        raise ConfigError("fusion: expected a JSON object")
-    rename = {"lambda": "lambda_", "p": "dropconnect"}
-    allowed = {"mode", "lambda", "tau", "p"}
-    kwargs = {}
+        raise ConfigError(f"{path}: expected a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    names = json_names or {name: name for name in fields}
+    retired = retired or {}
+    kwargs = dict(defaults or {})
     for key, value in section.items():
-        if key in _RETIRED_FUSION:
-            kept = _RETIRED_FUSION[key]
+        if key in retired:
+            kept = retired[key]
             if type(value) is not type(kept) or value != kept:
-                raise ConfigError(f"fusion.{key}: retired option; only {kept!r} "
+                raise ConfigError(f"{path}.{key}: retired option; only {kept!r} "
                                   f"is still accepted, got {value!r}")
             continue
-        if key not in allowed:
-            raise ConfigError(f"fusion.{key}: unknown field (allowed: {sorted(allowed)})")
-        if isinstance(value, int) and key in ("lambda", "tau", "p"):
-            value = float(value)
-        kwargs[rename.get(key, key)] = value
-    cfg = FusionConfig(**kwargs)
-    cfg.validate()
-    return cfg
+        if key not in names:
+            raise ConfigError(f"{path}.{key}: unknown field (allowed: {', '.join(names)})")
+        field = fields[names[key]]
+        kwargs[field.name] = _check_field_type(f"{path}.{key}", field.type, value)
+    for key, name in names.items():
+        if name not in kwargs and fields[name].default is dataclasses.MISSING:
+            raise ConfigError(f"{path}.{key}: missing required key")
+    return cls(**kwargs)
 
 
 def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -245,9 +225,9 @@ def generate_dataset(args) -> str:
     return out_dir
 
 
-def load_dataset_dir(data_cfg: dict) -> dict:
+def load_dataset_dir(data_cfg: DataConfig) -> dict:
     """Read a generated dataset directory into id pairs plus vocabulary."""
-    dir_path = data_cfg["dir"]
+    dir_path = data_cfg.dir
     meta_path = os.path.join(dir_path, "task.json")
     try:
         with open(meta_path, encoding="utf-8") as fh:
@@ -262,7 +242,7 @@ def load_dataset_dir(data_cfg: dict) -> dict:
     if meta["task"] in ("copy", "cipher"):
         vocab = D.vocab_for_task(meta["vocab_size"])
     else:
-        min_freq = int(data_cfg.get("min_freq", meta.get("min_freq", 1)))
+        min_freq = data_cfg.min_freq if data_cfg.min_freq is not None else meta.get("min_freq", 1)
         _, vocab, _ = D.load_parallel_text(os.path.join(dir_path, "train.src"),
                                            os.path.join(dir_path, "train.tgt"),
                                            min_freq=min_freq, joint=True)

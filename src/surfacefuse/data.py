@@ -26,7 +26,6 @@ class Vocabulary:
     """Ordered token list with the four reserved ids fixed at 0..3."""
 
     tokens: list[str]
-    joint: bool = True
     _ids: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -37,8 +36,8 @@ class Vocabulary:
             raise DataError("duplicate token in vocabulary")
 
     @classmethod
-    def from_content(cls, content_tokens, joint: bool = True) -> "Vocabulary":
-        return cls(list(RESERVED) + list(content_tokens), joint=joint)
+    def from_content(cls, content_tokens) -> "Vocabulary":
+        return cls(list(RESERVED) + list(content_tokens))
 
     def __len__(self):
         return len(self.tokens)
@@ -167,13 +166,13 @@ def vocab_for_task(vocab_size: int) -> Vocabulary:
     return Vocabulary.from_content([content_token(i) for i in range(vocab_size)])
 
 
-def _build_vocab(sequences, min_freq: int, joint: bool) -> Vocabulary:
+def _build_vocab(sequences, min_freq: int) -> Vocabulary:
     counts = Counter()
     for seq in sequences:
         counts.update(seq)
     kept = sorted((t for t, c in counts.items() if c >= min_freq and t not in RESERVED),
                   key=lambda t: (-counts[t], t))
-    return Vocabulary.from_content(kept, joint=joint)
+    return Vocabulary.from_content(kept)
 
 
 def load_parallel_text(src_path, tgt_path, min_freq: int = 1, joint: bool = True):
@@ -198,11 +197,9 @@ def load_parallel_text(src_path, tgt_path, min_freq: int = 1, joint: bool = True
             f"line-count mismatch: {src_path} has {len(src_lines)}, {tgt_path} has {len(tgt_lines)}")
     pairs = list(zip(src_lines, tgt_lines))
     if joint:
-        vocab = _build_vocab(src_lines + tgt_lines, min_freq, joint=True)
+        vocab = _build_vocab(src_lines + tgt_lines, min_freq)
         return pairs, vocab, vocab
-    return (pairs,
-            _build_vocab(src_lines, min_freq, joint=False),
-            _build_vocab(tgt_lines, min_freq, joint=False))
+    return pairs, _build_vocab(src_lines, min_freq), _build_vocab(tgt_lines, min_freq)
 
 
 def save_pairs(pairs, src_path, tgt_path) -> None:
@@ -225,11 +222,9 @@ class Batch:
     src: np.ndarray
     tgt_in: np.ndarray
     tgt_out: np.ndarray
-    src_lengths: np.ndarray
-    tgt_lengths: np.ndarray
 
 
-def make_batch(id_pairs, vocab: Vocabulary | None = None) -> Batch:
+def make_batch(id_pairs) -> Batch:
     """Pad a list of (src_ids, tgt_ids) into one Batch."""
     max_src = max(len(s) for s, _ in id_pairs)
     max_tgt = max(len(t) for _, t in id_pairs) + 1  # room for BOS/EOS shift
@@ -237,17 +232,13 @@ def make_batch(id_pairs, vocab: Vocabulary | None = None) -> Batch:
     src = np.full((b, max_src), PAD_ID, dtype=np.int64)
     tgt_in = np.full((b, max_tgt), PAD_ID, dtype=np.int64)
     tgt_out = np.full((b, max_tgt), PAD_ID, dtype=np.int64)
-    src_lengths = np.zeros(b, dtype=np.int64)
-    tgt_lengths = np.zeros(b, dtype=np.int64)
     for i, (s, t) in enumerate(id_pairs):
         src[i, :len(s)] = s
         tgt_in[i, 0] = BOS_ID
         tgt_in[i, 1:len(t) + 1] = t
         tgt_out[i, :len(t)] = t
         tgt_out[i, len(t)] = EOS_ID
-        src_lengths[i] = len(s)
-        tgt_lengths[i] = len(t) + 1
-    return Batch(src, tgt_in, tgt_out, src_lengths, tgt_lengths)
+    return Batch(src, tgt_in, tgt_out)
 
 
 def encode_pairs(pairs, vocab: Vocabulary):

@@ -48,19 +48,6 @@ def normalize_weights(raw: Tensor) -> Tensor:
     return T.softmax_temp(raw, tau=1.0, axis=1)
 
 
-def dropconnect(raw: Tensor, p: float, rng: Rng, training: bool) -> Tensor:
-    """Zero each raw weight with probability p, scale survivors by 1/(1-p).
-
-    Identity when evaluating or p == 0.
-    """
-    if not 0.0 <= p < 1.0:
-        raise InvalidParameterError(f"DropConnect probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return raw
-    keep = (rng.random(raw.shape) >= p).astype(raw.dtype) / (1.0 - p)
-    return T.mul(raw, Tensor(keep))
-
-
 def fuse(outputs, m: int, w_hat: Tensor) -> Tensor:
     """Per-dimension mixture of encoder layers for decoder layer index m.
 
@@ -121,7 +108,7 @@ def decoder_sources(outputs, weights: FusionWeights, mode: str, n_dec_layers: in
     """
     if mode not in LAYER_FUSION_MODES:
         raise InvalidParameterError(f"no fusion sources for mode {mode!r}")
-    w_hat = normalize_weights(dropconnect(weights.raw, weights.p, rng, training))
+    w_hat = normalize_weights(T.dropout(weights.raw, weights.p, rng, training))
     if layer_mask is not None:
         w_hat = mask_layer(w_hat, layer_mask)
     if mode == "fine-uppermost":

@@ -140,9 +140,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 

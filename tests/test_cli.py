@@ -34,6 +34,15 @@ def write_config(path, cfg):
     return str(path)
 
 
+def run_cli(*argv):
+    """`python -m surfacefuse argv...` in a fresh process; stderr shows any traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, SURFACEFUSE_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "surfacefuse", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.fixture()
 def copy_data(tmp_path):
     data_dir = tmp_path / "data"
@@ -121,6 +130,22 @@ class TestTrain:
         cfg_path = write_config(tmp_path / "bad2.json", cfg)
         assert main(["train", "--config", cfg_path]) == 1
         assert "train.step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad,path", [({"fusion": {"tau": "5"}}, "fusion.tau"),
+                                          ({"out": 5}, "out"),
+                                          ({"data": {"dir": 7}}, "data.dir")],
+                             ids=["fusion.tau", "out", "data.dir"])
+    def test_wrong_type_names_path(self, copy_data, tmp_path, bad, path):
+        cfg = run_config(copy_data, tmp_path / "run")
+        for key, value in bad.items():
+            if isinstance(value, dict):
+                cfg[key].update(value)
+            else:
+                cfg[key] = value
+        proc = run_cli("train", "--config", write_config(tmp_path / "bad.json", cfg))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {path}: expected ")
 
     def test_hard_lambda_one_matches_vanilla_curve(self, copy_data, tmp_path):
         cfg_v = run_config(copy_data, tmp_path / "v", mode="none", steps=12)
@@ -309,11 +334,7 @@ class TestTruncatedCheckpoint:
     def test_decode_prints_no_traceback(self, trained_run):
         ckpt = trained_run / "best.ckpt"
         ckpt.write_bytes(ckpt.read_bytes()[:14])
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, SURFACEFUSE_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "surfacefuse", "decode", "--ckpt", str(ckpt)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli("decode", "--ckpt", str(ckpt))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "truncated checkpoint" in proc.stderr

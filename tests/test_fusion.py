@@ -7,7 +7,6 @@ from surfacefuse.errors import DegenerateMaskError, InvalidParameterError
 from surfacefuse.fusion import (
     FusionWeights,
     decoder_sources,
-    dropconnect,
     fuse,
     mask_layer,
     normalize_weights,
@@ -55,30 +54,6 @@ class TestNormalizeWeights:
         raw = Tensor(Rng(3).normal(0, 4, (3, 5, 8)))
         out = normalize_weights(raw)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
-
-
-class TestDropconnect:
-    def test_p_zero_is_identity(self):
-        w = Tensor(np.arange(12.0).reshape(1, 3, 4))
-        assert dropconnect(w, 0.0, Rng(0), training=True) is w
-
-    def test_eval_mode_is_identity(self):
-        w = Tensor(np.arange(12.0).reshape(1, 3, 4))
-        assert dropconnect(w, 0.5, Rng(0), training=False) is w
-
-    def test_bad_probability(self):
-        w = Tensor(np.zeros((1, 2, 2)))
-        with pytest.raises(InvalidParameterError):
-            dropconnect(w, 1.0, Rng(0), training=True)
-
-    def test_drop_fraction_and_scaling(self):
-        n = 100_000
-        w = Tensor(np.ones((1, 1, n)))
-        out = dropconnect(w, 0.3, Rng(7), training=True)
-        dropped = (out.data == 0.0).mean()
-        assert abs(dropped - 0.3) < 0.01
-        survivors = out.data[out.data != 0.0]
-        np.testing.assert_allclose(survivors, 1.0 / 0.7)
 
 
 class TestFuse:

@@ -293,8 +293,8 @@ class TestRngAndDeterminism:
 class TestDropout:
     def test_eval_identity(self):
         x = Tensor(np.arange(6.0))
-        out = dropout(x, 0.5, Rng(0), training=False)
-        assert out is x
+        for p, training in ((0.5, False), (0.0, True)):  # eval mode, or nothing to drop
+            assert dropout(x, p, Rng(0), training=training) is x
 
     def test_bad_p(self):
         with pytest.raises(InvalidParameterError):
