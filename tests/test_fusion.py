@@ -56,6 +56,18 @@ class TestNormalizeWeights:
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
 
+class TestDropconnect:
+    def test_p_zero_is_identity(self):
+        rng = Rng(4)
+        outputs = random_outputs(rng, 2, i=3, d=4)
+        weights = FusionWeights(2, 3, 4, p=0.0)
+        weights.raw.data[:] = rng.spawn("w").normal(0, 1, (2, 3, 4))
+        trained = decoder_sources(outputs, weights, "fine", 2, Rng(0), training=True)
+        evaluated = decoder_sources(outputs, weights, "fine", 2, None, training=False)
+        for x, y in zip(trained, evaluated):
+            np.testing.assert_array_equal(x.data, y.data)
+
+
 class TestFuse:
     def test_one_hot_selects_layer(self):
         rng = Rng(1)
