@@ -11,12 +11,15 @@ then per record:
     payload  raw row-major floats.
 
 Records are written sorted by name so identical tensors always produce
-byte-identical files.
+byte-identical files. A save writes a temporary file next to the target and
+renames it over the target, so an interrupted save leaves the previous file
+intact.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -39,17 +42,23 @@ def save_checkpoint(path, named_tensors: dict) -> None:
         if arr.dtype not in _DTYPE_TAGS:
             raise DataError(f"checkpoint tensor {name!r} has unsupported dtype {arr.dtype}")
         items.append((name, arr))
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(items)))
-        for name, arr in items:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BI", _DTYPE_TAGS[arr.dtype], arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(items)))
+            for name, arr in items:
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<BI", _DTYPE_TAGS[arr.dtype], arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before the rename
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> dict:

@@ -93,9 +93,13 @@ class Tensor:
     """N-dimensional float array with an optional gradient record.
 
     `data` is a row-major numpy array; `grad` (same shape) is allocated
-    lazily during backward. Operation provenance lives in `_parents` and the
-    `_backward` closure and is dropped as soon as the Python references go,
-    so each training step's graph is freed after the optimizer update.
+    lazily during backward and kept only on leaves. Operation provenance
+    lives in `_parents` and the `_backward` closure, which receives the
+    output gradient as its argument and never refers to its own output. The
+    graph is therefore acyclic: reference counting frees it, activations
+    included, as soon as the last reference to its root goes (in `train()`,
+    when the next step's loss replaces it), without waiting for the cyclic
+    garbage collector.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward", "_seq")
@@ -113,7 +117,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._seq = next(_creation_counter)
 
     @property
@@ -151,6 +155,10 @@ class Tensor:
         DFS order this keeps gradient-accumulation order for shared tensors
         stable when unrelated graph branches are added, which is what makes
         reduction identities hold bit-for-bit.
+
+        A non-leaf node's `grad` is released once its closure has run, so
+        only leaves keep a gradient, and a second call on the same graph
+        adds the same gradient to each leaf again.
         """
         if grad is None:
             if self.data.size != 1:
@@ -160,7 +168,8 @@ class Tensor:
         _accumulate(self, np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
+                node.grad = None
 
     # arithmetic sugar
     def __add__(self, other):
@@ -249,7 +258,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[], None], op: str) -> Tensor:
+def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None],
+          op: str) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -281,15 +291,13 @@ def add(a, b) -> Tensor:
     b = as_tensor(b, like=a)
     data = a.data + b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    out = _make(data, (a, b), backward, "add")
-    return out
+    return _make(data, (a, b), backward, "add")
 
 
 def sub(a, b) -> Tensor:
@@ -297,26 +305,23 @@ def sub(a, b) -> Tensor:
     b = as_tensor(b, like=a)
     data = a.data - b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(-g, b.data.shape))
 
-    out = _make(data, (a, b), backward, "sub")
-    return out
+    return _make(data, (a, b), backward, "sub")
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
     data = -a.data
 
-    def backward():
-        _accumulate(a, -out.grad)
+    def backward(g):
+        _accumulate(a, -g)
 
-    out = _make(data, (a,), backward, "neg")
-    return out
+    return _make(data, (a,), backward, "neg")
 
 
 def mul(a, b) -> Tensor:
@@ -324,15 +329,13 @@ def mul(a, b) -> Tensor:
     b = as_tensor(b, like=a)
     data = a.data * b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out = _make(data, (a, b), backward, "mul")
-    return out
+    return _make(data, (a, b), backward, "mul")
 
 
 def div(a, b) -> Tensor:
@@ -340,15 +343,13 @@ def div(a, b) -> Tensor:
     b = as_tensor(b, like=a)
     data = a.data / b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    out = _make(data, (a, b), backward, "div")
-    return out
+    return _make(data, (a, b), backward, "div")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -358,37 +359,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
-    out = _make(data, (a, b), backward, "matmul")
-    return out
+    return _make(data, (a, b), backward, "matmul")
 
 
 def relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     data = np.maximum(a.data, 0.0)
 
-    def backward():
-        _accumulate(a, out.grad * (a.data > 0))
+    def backward(g):
+        _accumulate(a, g * (a.data > 0))
 
-    out = _make(data, (a,), backward, "relu")
-    return out
+    return _make(data, (a,), backward, "relu")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
     data = a.data.reshape(shape)
 
-    def backward():
-        _accumulate(a, out.grad.reshape(a.data.shape))
+    def backward(g):
+        _accumulate(a, g.reshape(a.data.shape))
 
-    out = _make(data, (a,), backward, "reshape")
-    return out
+    return _make(data, (a,), backward, "reshape")
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -396,11 +393,10 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     data = np.transpose(a.data, axes)
     inverse = tuple(np.argsort(axes))
 
-    def backward():
-        _accumulate(a, np.transpose(out.grad, inverse))
+    def backward(g):
+        _accumulate(a, np.transpose(g, inverse))
 
-    out = _make(data, (a,), backward, "transpose")
-    return out
+    return _make(data, (a,), backward, "transpose")
 
 
 def getitem(a: Tensor, key) -> Tensor:
@@ -409,27 +405,24 @@ def getitem(a: Tensor, key) -> Tensor:
     if np.isscalar(data) or data.ndim == 0:
         data = np.asarray(data, dtype=a.data.dtype)
 
-    def backward():
-        g = np.zeros_like(a.data)
-        g[key] += out.grad
-        _accumulate(a, g)
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[key] += g
+        _accumulate(a, full)
 
-    out = _make(data, (a,), backward, "getitem")
-    return out
+    return _make(data, (a,), backward, "getitem")
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
-    out = _make(np.asarray(data, dtype=a.data.dtype), (a,), backward, "sum")
-    return out
+    return _make(np.asarray(data, dtype=a.data.dtype), (a,), backward, "sum")
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -442,14 +435,12 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         count = a.data.shape[axis]
     data = a.data.mean(axis=axis, keepdims=keepdims)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape) / count)
 
-    out = _make(np.asarray(data, dtype=a.data.dtype), (a,), backward, "mean")
-    return out
+    return _make(np.asarray(data, dtype=a.data.dtype), (a,), backward, "mean")
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -457,13 +448,12 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     data = weight.data[ids]
 
-    def backward():
-        g = np.zeros_like(weight.data)
-        np.add.at(g, ids, out.grad)
-        _accumulate(weight, g)
+    def backward(g):
+        table = np.zeros_like(weight.data)
+        np.add.at(table, ids, g)
+        _accumulate(weight, table)
 
-    out = _make(data, (weight,), backward, "embedding")
-    return out
+    return _make(data, (weight,), backward, "embedding")
 
 
 def softmax_temp(logits: Tensor, tau: float = 1.0, axis: int = -1) -> Tensor:
@@ -484,13 +474,11 @@ def softmax_temp(logits: Tensor, tau: float = 1.0, axis: int = -1) -> Tensor:
     e = np.exp(z)
     data = e / e.sum(axis=axis, keepdims=True)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
         _accumulate(logits, (g - inner) * data / tau)
 
-    out = _make(data, (logits,), backward, "softmax_temp")
-    return out
+    return _make(data, (logits,), backward, "softmax_temp")
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -499,12 +487,10 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     data = z - lse
 
-    def backward():
-        g = out.grad
+    def backward(g):
         _accumulate(logits, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
 
-    out = _make(data, (logits,), backward, "log_softmax")
-    return out
+    return _make(data, (logits,), backward, "log_softmax")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -524,16 +510,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = xc * inv
     data = xhat * gain.data + bias.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         dxhat = g * gain.data
         _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
         _accumulate(bias, _unbroadcast(g, bias.data.shape))
         term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         _accumulate(x, inv * term)
 
-    out = _make(data, (x, gain, bias), backward, "layer_norm")
-    return out
+    return _make(data, (x, gain, bias), backward, "layer_norm")
 
 
 def cross_entropy(log_probs: Tensor, targets: np.ndarray, pad_id: int, smoothing: float = 0.0) -> Tensor:
@@ -559,16 +543,15 @@ def cross_entropy(log_probs: Tensor, targets: np.ndarray, pad_id: int, smoothing
     per_pos = -(1.0 - smoothing) * picked - smoothing * flat_lp.mean(axis=1)
     data = np.asarray((per_pos * mask).sum() / count, dtype=log_probs.data.dtype)
 
-    def backward():
-        g = float(out.grad)
+    def backward(g):
+        g = float(g)
         glp = np.zeros_like(flat_lp)
         if smoothing != 0.0:
             glp[mask, :] = -smoothing / vocab * g / count
         glp[rows[mask], flat_t[mask]] += -(1.0 - smoothing) * g / count
         _accumulate(log_probs, glp.reshape(log_probs.data.shape))
 
-    out = _make(data, (log_probs,), backward, "cross_entropy")
-    return out
+    return _make(data, (log_probs,), backward, "cross_entropy")
 
 
 def dropout(x: Tensor, p: float, rng: Rng, training: bool) -> Tensor:

@@ -146,6 +146,7 @@ def train(model: Seq2Seq, train_ids, valid_ids, cfg: TrainConfig, out_dir=None,
     result = TrainResult()
 
     start_step = 0
+    best_val = math.inf
     if resume:
         if out_dir is None:
             raise ConfigError("resume needs an output directory")
@@ -154,6 +155,8 @@ def train(model: Seq2Seq, train_ids, valid_ids, cfg: TrainConfig, out_dir=None,
         opt.load_state(state)
         start_step = int(state["state.step"])
         result.start_step = start_step
+        # checkpoints written before best_val was stored resume with inf
+        best_val = float(state.get("state.best_val", math.inf))
 
     metrics_path = csv_fh = None
     if out_dir is not None:
@@ -180,16 +183,19 @@ def train(model: Seq2Seq, train_ids, valid_ids, cfg: TrainConfig, out_dir=None,
     window_losses: list[float] = []
     window_tokens = 0
     window_correct = 0
-    best_val = math.inf
     try:
         if cfg.steps <= start_step:
             # nothing to train; still record the initial state
             val = run_validation(start_step, [], 0, 0)
-            best_val = val if not math.isnan(val) else math.inf
+            improved = val < best_val
+            if improved:
+                best_val = val
             if out_dir is not None:
-                _save_model(model, os.path.join(out_dir, "best.ckpt"))
-                _save_model(model, os.path.join(out_dir, "last.ckpt"), opt)
-            result.best_val_loss = result.final_val_loss = best_val
+                if improved or math.isinf(best_val):
+                    _save_model(model, os.path.join(out_dir, "best.ckpt"))
+                _save_model(model, os.path.join(out_dir, "last.ckpt"), opt, best_val)
+            result.best_val_loss = best_val
+            result.final_val_loss = val if not math.isnan(val) else math.inf
             return result
         for step, batch in stream.from_step(start_step):
             if step >= cfg.steps:
@@ -222,17 +228,19 @@ def train(model: Seq2Seq, train_ids, valid_ids, cfg: TrainConfig, out_dir=None,
         if out_dir is not None:
             if math.isinf(best_val):
                 _save_model(model, os.path.join(out_dir, "best.ckpt"))
-            _save_model(model, os.path.join(out_dir, "last.ckpt"), opt)
+            _save_model(model, os.path.join(out_dir, "last.ckpt"), opt, best_val)
     finally:
         if csv_fh is not None:
             csv_fh.close()
     return result
 
 
-def _save_model(model: Seq2Seq, path, opt: Adam | None = None) -> None:
+def _save_model(model: Seq2Seq, path, opt: Adam | None = None, best_val: float = math.inf) -> None:
+    """Parameters only, or with `opt` the resumable state: Adam and best_val."""
     tensors = {name: p for name, p in model.named_parameters()}
     if opt is not None:
         tensors.update(opt.state_tensors())
+        tensors["state.best_val"] = np.asarray(best_val)
     save_checkpoint(path, tensors)
 
 

@@ -22,11 +22,10 @@ def _faulty_square(x: Tensor) -> Tensor:
     """x**2 whose analytic gradient is off by 2%: the negative control."""
     data = x.data * x.data
 
-    def backward():
-        T._accumulate(x, out.grad * 2.02 * x.data)
+    def backward(g):
+        T._accumulate(x, g * 2.02 * x.data)
 
-    out = T._make(data, (x,), backward, "faulty_square")
-    return out
+    return T._make(data, (x,), backward, "faulty_square")
 
 
 def primitive_checks(seed: int = 0):

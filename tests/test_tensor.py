@@ -316,14 +316,29 @@ class TestGraphMechanics:
         z = y + y  # diamond: y reachable twice
         orig = y._backward
 
-        def counting():
+        def counting(g):
             calls.append(1)
-            orig()
+            orig(g)
 
         y._backward = counting
         z.sum().backward()
         assert len(calls) == 1
         np.testing.assert_allclose(x.grad, [8.0])
+
+    def test_repeated_backward_adds_one_pass_gradient(self):
+        x = Tensor([1.5, -2.0, 0.5], requires_grad=True)
+        y = (relu(x * x) * 3.0).sum()
+        y.backward()
+        once = x.grad.copy()
+        y.backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * once)
+
+    def test_backward_keeps_grad_only_on_leaves(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        h = x * x
+        h.sum().backward()
+        assert h.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_no_grad_blocks_recording(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

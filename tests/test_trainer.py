@@ -1,9 +1,13 @@
+import gc
 import math
 import os
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import surfacefuse.checkpoint as checkpoint
 from surfacefuse.checkpoint import load_checkpoint, save_checkpoint
 from surfacefuse.data import encode_pairs, gen_copy, make_batch, token_batches, vocab_for_task
 from surfacefuse.errors import ConfigError, DataError, InvalidParameterError, NumericError
@@ -135,6 +139,59 @@ class TestTrainLoop:
             with pytest.raises(DataError, match="truncated checkpoint"):
                 load_checkpoint(cut)
         assert set(load_checkpoint(path)) == {"a.scalar", "b.matrix", "c.vector"}
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(path, {"a": np.arange(4.0), "b": np.zeros(2)})
+        before = path.read_bytes()
+        pack, calls = struct.pack, []
+
+        def failing_pack(fmt, *values):  # fails once the header and a record are written
+            calls.append(fmt)
+            if len(calls) > 4:
+                raise OSError("disk full")
+            return pack(fmt, *values)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint, "struct", SimpleNamespace(pack=failing_pack))
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(path, {"a": np.ones(4), "b": np.ones(2)})
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(load_checkpoint(path)["a"], np.arange(4.0))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+
+    def test_resume_keeps_best_checkpoint_when_validation_worsens(self, tmp_path):
+        train_ids, valid_ids, _, vocab = toy_dataset()
+        model = toy_model(vocab_src=len(vocab), vocab_tgt=len(vocab))
+        cfg = TrainConfig(steps=40, max_tokens=128, eval_interval=20, warmup=10, seed=2)
+        first = train(model, train_ids, valid_ids, cfg, out_dir=str(tmp_path))
+        best = (tmp_path / "best.ckpt").read_bytes()
+        assert float(load_checkpoint(tmp_path / "last.ckpt")["state.best_val"]) == first.best_val_loss
+        model2 = toy_model(vocab_src=len(vocab), vocab_tgt=len(vocab))
+        worse = TrainConfig(steps=60, max_tokens=128, eval_interval=20, warmup=1, lr=0.5, seed=2)
+        resumed = train(model2, train_ids, valid_ids, worse, out_dir=str(tmp_path), resume=True)
+        assert resumed.final_val_loss > first.best_val_loss
+        assert resumed.best_val_loss == first.best_val_loss
+        assert (tmp_path / "best.ckpt").read_bytes() == best
+
+    def test_training_leaves_no_cyclic_garbage(self):
+        train_ids, valid_ids, _, vocab = toy_dataset()
+        model = Seq2Seq(ModelConfig(n_enc_layers=2, n_dec_layers=2, d_model=16, n_heads=2, d_ff=32,
+                                    vocab_src=len(vocab), vocab_tgt=len(vocab), max_len=16),
+                        FusionConfig(mode="surface-soft", tau=5.0), seed=0)
+        cfg = TrainConfig(steps=3, max_tokens=128, eval_interval=3, warmup=2, seed=1)
+        gc.collect()
+        gc.disable()
+        try:
+            train(model, train_ids, valid_ids, cfg, out_dir=None)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = sum(isinstance(obj, Tensor) for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == 0
 
     def test_resume_continues_step_count(self, tmp_path):
         train_ids, valid_ids, _, vocab = toy_dataset()
