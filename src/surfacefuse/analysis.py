@@ -18,7 +18,7 @@ from . import tensor as T
 from .data import BOS_ID, EOS_ID, token_batches
 from .errors import ConfigError, InvalidParameterError, ShapeError
 from .model import Seq2Seq
-from .tensor import Rng, no_grad
+from .tensor import Rng
 from .training import avg_output_length, corpus_bleu, evaluate, greedy_decode
 
 
@@ -203,17 +203,18 @@ def score_breakdown(model: Seq2Seq, src_ids, tgt_ids) -> list[dict]:
     """Per-token fused / base / surface log-probabilities, teacher-forced.
 
     `surface` entries are None outside the surface-fusion modes; `fused`
-    equals `base` for the vanilla and layer-fusion modes.
+    equals `base` for the vanilla and layer-fusion modes. Call it outside
+    `no_grad`: only the autograd path returns the surface log-probabilities
+    on their own; the graph-free inference path folds them into the score.
     """
     tgt_ids = list(tgt_ids)
-    with no_grad():
-        outputs = model.encode(np.asarray(src_ids, dtype=np.int64)[None, :])
-        tgt_in = np.asarray([BOS_ID] + tgt_ids, dtype=np.int64)[None, :]
-        decoded = model.position_scores(outputs, tgt_in)
-        fused = decoded["score"].data[0]
-        base = T.log_softmax(decoded["logits"]).data[0]
-        surface = decoded.get("surface_log_p")
-        surface = surface.data[0] if surface is not None else None
+    outputs = model.encode(np.asarray(src_ids, dtype=np.int64)[None, :])
+    tgt_in = np.asarray([BOS_ID] + tgt_ids, dtype=np.int64)[None, :]
+    decoded = model.position_scores(outputs, tgt_in)
+    fused = decoded["score"].data[0]
+    base = T.log_softmax(decoded["logits"]).data[0]
+    surface = decoded.get("surface_log_p")
+    surface = surface.data[0] if surface is not None else None
     rows = []
     for j, token in enumerate(tgt_ids + [EOS_ID]):
         rows.append({

@@ -245,7 +245,7 @@ def load_dataset_dir(data_cfg: DataConfig) -> dict:
         min_freq = data_cfg.min_freq if data_cfg.min_freq is not None else meta.get("min_freq", 1)
         _, vocab, _ = D.load_parallel_text(os.path.join(dir_path, "train.src"),
                                            os.path.join(dir_path, "train.tgt"),
-                                           min_freq=min_freq, joint=True)
+                                           min_freq=min_freq)
     ids = {split: D.encode_pairs(pairs[split], vocab) for split in SPLITS}
     alignment = None
     align_path = os.path.join(dir_path, "alignment.json")
@@ -282,7 +282,7 @@ def run_train(config_path: str, overrides: dict, resume: bool = False) -> dict:
     return {"run_dir": cfg.out, "rows": result.rows, "best_val_loss": result.best_val_loss}
 
 
-def model_from_run_dir(ckpt_path: str, which: str | None = None):
+def model_from_run_dir(ckpt_path: str):
     """Rebuild model + dataset from a checkpoint and its sibling config.json."""
     run_dir = os.path.dirname(os.path.abspath(ckpt_path))
     config_path = os.path.join(run_dir, "config.json")

@@ -66,11 +66,13 @@ class CipherTask:
     permutation: np.ndarray
     shared_fraction: float
     reorder: bool = False
+    _lookup: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         perm = np.asarray(self.permutation)
         if sorted(perm.tolist()) != list(range(self.vocab_size)):
             raise DataError("cipher permutation must be a bijection over content tokens")
+        self._lookup = dict(self.alignment)
 
     @property
     def alignment(self) -> list[tuple[str, str]]:
@@ -78,9 +80,7 @@ class CipherTask:
                 for i in range(self.vocab_size)]
 
     def apply(self, tokens: list[str]) -> list[str]:
-        lookup = {content_token(i): content_token(int(self.permutation[i]))
-                  for i in range(self.vocab_size)}
-        return [lookup[t] for t in tokens]
+        return [self._lookup[t] for t in tokens]
 
 
 def make_cipher_task(vocab_size: int, shared_fraction: float, rng: Rng,
@@ -175,14 +175,8 @@ def _build_vocab(sequences, min_freq: int) -> Vocabulary:
     return Vocabulary.from_content(kept)
 
 
-def load_parallel_text(src_path, tgt_path, min_freq: int = 1, joint: bool = True):
-    """Read aligned line files; returns (pairs, src_vocab, tgt_vocab).
-
-    With `joint` both vocabularies are one shared object built from the
-    union of sides. Tokens below the frequency cutoff map to unk at encode
-    time. Vocabulary order is deterministic: frequency descending, then
-    lexicographic.
-    """
+def load_pairs(src_path, tgt_path):
+    """Read aligned line files of whitespace-separated tokens as (src, tgt) pairs."""
     def read(path):
         with open(path, encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
@@ -195,11 +189,19 @@ def load_parallel_text(src_path, tgt_path, min_freq: int = 1, joint: bool = True
     if len(src_lines) != len(tgt_lines):
         raise DataError(
             f"line-count mismatch: {src_path} has {len(src_lines)}, {tgt_path} has {len(tgt_lines)}")
-    pairs = list(zip(src_lines, tgt_lines))
-    if joint:
-        vocab = _build_vocab(src_lines + tgt_lines, min_freq)
-        return pairs, vocab, vocab
-    return pairs, _build_vocab(src_lines, min_freq), _build_vocab(tgt_lines, min_freq)
+    return list(zip(src_lines, tgt_lines))
+
+
+def load_parallel_text(src_path, tgt_path, min_freq: int = 1):
+    """Read aligned line files; returns (pairs, src_vocab, tgt_vocab).
+
+    Both vocabularies are one shared object built from the union of sides.
+    Tokens below the frequency cutoff map to unk at encode time. Vocabulary
+    order is deterministic: frequency descending, then lexicographic.
+    """
+    pairs = load_pairs(src_path, tgt_path)
+    vocab = _build_vocab((side for pair in pairs for side in pair), min_freq)
+    return pairs, vocab, vocab
 
 
 def save_pairs(pairs, src_path, tgt_path) -> None:
@@ -207,11 +209,6 @@ def save_pairs(pairs, src_path, tgt_path) -> None:
         for src, tgt in pairs:
             fs.write(" ".join(src) + "\n")
             ft.write(" ".join(tgt) + "\n")
-
-
-def load_pairs(src_path, tgt_path):
-    pairs, _, _ = load_parallel_text(src_path, tgt_path)
-    return pairs
 
 
 @dataclass

@@ -84,23 +84,19 @@ def multi_head_attention(
 class Linear:
     """Affine map y = x @ W + b with Xavier-uniform init."""
 
-    def __init__(self, name: str, d_in: int, d_out: int, rng: Rng, dtype=np.float64, bias: bool = True):
+    def __init__(self, name: str, d_in: int, d_out: int, rng: Rng, dtype=np.float64):
         self.name = name
         limit = math.sqrt(6.0 / (d_in + d_out))
         w_init = rng.spawn(f"param:{name}.w").uniform(-limit, limit, (d_in, d_out))
         self.w = Tensor(w_init.astype(dtype), requires_grad=True)
-        self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.w)
-        if self.b is not None:
-            y = y + self.b
-        return y
+        return T.matmul(x, self.w) + self.b
 
     def named_parameters(self):
         yield f"{self.name}.w", self.w
-        if self.b is not None:
-            yield f"{self.name}.b", self.b
+        yield f"{self.name}.b", self.b
 
 
 class LayerNorm:

@@ -25,7 +25,6 @@ from .errors import ConfigError, InvalidParameterError, SequenceLengthError
 from .layers import (
     FeedForward,
     LayerNorm,
-    Linear,
     MultiHeadAttentionLayer,
     causal_mask,
     padding_mask,
@@ -73,12 +72,19 @@ class ModelConfig:
 
 @dataclass
 class LayerOutputs:
-    """All encoder layer outputs for one batch, plus the position-free
-    embeddings fusion consumers substitute for index 0."""
+    """Everything the decoder reads from one encoded batch.
+
+    `layers` holds every encoder layer output, `x_emb` the position-free
+    embeddings that fusion substitutes for index 0, `sources` the
+    cross-attention source of each decoder layer, and `surface` the
+    graph-free surface cache (surface modes at inference only, else None).
+    """
 
     layers: list[Tensor]
     x_emb: Tensor
     attn_mask: np.ndarray = field(repr=False)
+    sources: list[Tensor] = field(default_factory=list, repr=False)
+    surface: S.SurfaceDecodeState | None = field(default=None, repr=False)
 
 
 class EncoderLayer:
@@ -89,7 +95,7 @@ class EncoderLayer:
         self.ff = FeedForward(f"{name}.ff", cfg.d_model, cfg.d_ff, rng, dt)
         self.norm2 = LayerNorm(f"{name}.norm2", cfg.d_model, dt)
 
-    def __call__(self, x, mask, drop, training):
+    def __call__(self, x, mask, drop):
         x = self.norm1(x + drop("attn", self.self_attn(x, x, x, mask)))
         x = self.norm2(x + drop("ff", self.ff(x)))
         return x
@@ -109,7 +115,7 @@ class DecoderLayer:
         self.ff = FeedForward(f"{name}.ff", cfg.d_model, cfg.d_ff, rng, dt)
         self.norm3 = LayerNorm(f"{name}.norm3", cfg.d_model, dt)
 
-    def __call__(self, y, source, self_mask, cross_mask, drop, training):
+    def __call__(self, y, source, self_mask, cross_mask, drop):
         y = self.norm1(y + drop("self", self.self_attn(y, y, y, self_mask)))
         y = self.norm2(y + drop("cross", self.cross_attn(y, source, source, cross_mask)))
         y = self.norm3(y + drop("ff", self.ff(y)))
@@ -209,8 +215,12 @@ class Seq2Seq:
         return T.embedding(table, ids) * math.sqrt(self.config.d_model)
 
     def encode(self, src_ids: np.ndarray, training: bool = False) -> LayerOutputs:
-        """Run the encoder stack, returning all layer outputs and the
-        position-free embeddings."""
+        """Run the encoder stack and build every input the decoder reads.
+
+        The fused sources (with this call's DropConnect draw and the current
+        `layer_mask`) are built once here. The surface cache is built only
+        at inference, outside training with no graph being recorded.
+        """
         src_ids = np.asarray(src_ids)
         if src_ids.ndim == 1:
             src_ids = src_ids[None, :]
@@ -228,31 +238,31 @@ class Seq2Seq:
         mask = padding_mask(src_ids, PAD_ID, self.config.np_dtype)
         layers = [x]
         for i, layer in enumerate(self.enc_layers):
-            x = layer(x, mask, self._dropper(f"enc{i}", training), training)
+            x = layer(x, mask, self._dropper(f"enc{i}", training))
             layers.append(x)
-        return LayerOutputs(layers=layers, x_emb=x_emb, attn_mask=mask)
+        outputs = LayerOutputs(layers=layers, x_emb=x_emb, attn_mask=mask)
 
-    def _sources(self, outputs: LayerOutputs, training: bool) -> list[Tensor]:
         cfg = self.fusion_cfg
-        if not cfg.is_layer_fusion:
-            return [outputs.layers[-1]] * self.config.n_dec_layers
-        return F.decoder_sources(
-            outputs,
-            self.fusion_weights,
-            cfg.mode,
-            self.config.n_dec_layers,
-            self._dropconnect_rng,
-            training,
-            layer_mask=self.layer_mask,
-        )
+        n_dec = self.config.n_dec_layers
+        if cfg.is_layer_fusion:
+            outputs.sources = F.decoder_sources(outputs, self.fusion_weights, cfg.mode, n_dec,
+                                                self._dropconnect_rng, training,
+                                                layer_mask=self.layer_mask)
+        else:
+            outputs.sources = [x] * n_dec
+        if cfg.is_surface and not training and not T.grad_enabled():
+            outputs.surface = S.SurfaceDecodeState(self.surface_head, x.data, x_emb.data, mask,
+                                                   self.out_weight.data, cfg)
+        return outputs
 
     def decode(self, tgt_in_ids: np.ndarray, outputs: LayerOutputs, training: bool = False,
-               last_only: bool = False, compute_surface: bool = True) -> dict:
+               last_only: bool = False) -> dict:
         """Teacher-forced decoder pass.
 
-        Returns decoder pre-softmax logits plus (for surface modes) the
-        surface log-distribution; `last_only` restricts the output
-        projection to the final position for incremental decoding.
+        Returns decoder pre-softmax logits plus, in surface modes without a
+        surface cache, the surface log-distribution; `last_only` restricts
+        the output projection to the final position for incremental
+        decoding.
         """
         tgt_in_ids = np.asarray(tgt_in_ids)
         if tgt_in_ids.ndim == 1:
@@ -268,60 +278,40 @@ class Seq2Seq:
         y = self._embed(self.tgt_embed, tgt_in_ids) + Tensor(self.positions[None, :length])
         y = self._dropper("dec_in", training)("emb", y)
         self_mask = causal_mask(length, self.config.np_dtype)
-        sources = self._sources(outputs, training)
         for i, layer in enumerate(self.dec_layers):
-            y = layer(y, sources[i], self_mask, outputs.attn_mask,
-                      self._dropper(f"dec{i}", training), training)
+            y = layer(y, outputs.sources[i], self_mask, outputs.attn_mask,
+                      self._dropper(f"dec{i}", training))
 
         y_out = y[:, -1:, :] if last_only else y
         logits = T.matmul(y_out, T.transpose(self.out_weight, (1, 0)))
-        result = {"decoder_out": y, "logits": logits}
+        result = {"decoder_out": y_out, "logits": logits}
 
-        if self.fusion_cfg.is_surface and compute_surface:
-            q = y[:, -1:, :] if last_only else y
+        if self.fusion_cfg.is_surface and outputs.surface is None:
             r = self.surface_head(
-                self._dropper("surface", training)("r", q),
+                self._dropper("surface", training)("r", y_out),
                 outputs.layers[-1], outputs.x_emb, outputs.attn_mask,
             )
             result["surface_log_p"] = S.surface_log_probability(r, self.out_weight, self.fusion_cfg.tau)
         return result
 
-    def surface_decode_state(self, outputs: LayerOutputs) -> S.SurfaceDecodeState | None:
-        """Per-sentence cache for fast fused decoding (None outside surface modes)."""
-        if not self.fusion_cfg.is_surface:
-            return None
-        return S.SurfaceDecodeState(self.surface_head, outputs.layers[-1].data,
-                                    outputs.x_emb.data, outputs.attn_mask,
-                                    self.fusion_cfg.tau)
-
     def position_scores(self, outputs: LayerOutputs, tgt_in_ids: np.ndarray,
-                        training: bool = False, last_only: bool = False,
-                        surface_state: S.SurfaceDecodeState | None = None) -> dict:
+                        training: bool = False, last_only: bool = False) -> dict:
         """Per-position token scores used for both the loss and ranking.
 
         "score" is log P for vanilla/layer-fusion and soft fusion; for hard
         fusion it is the unnormalized interpolated log-score (ranking is
-        unaffected within a position). A SurfaceDecodeState short-circuits
-        the surface computation with cached encoder projections (inference
-        only, requires last_only).
+        unaffected within a position). When `outputs` carries a surface
+        cache, the fused scores of every requested position come from it,
+        graph-free; otherwise they are built on the autograd path.
         """
-        use_cache = surface_state is not None and self.fusion_cfg.is_surface
-        if use_cache and not last_only:
-            raise InvalidParameterError("surface decode cache only produces last-position scores")
-        decoded = self.decode(tgt_in_ids, outputs, training=training, last_only=last_only,
-                              compute_surface=not use_cache)
-        if use_cache:
-            decoded["score"] = Tensor(
-                surface_state.fused_scores(decoded["logits"].data,
-                                           decoded["decoder_out"].data[:, -1:, :],
-                                           self.out_weight.data, self.fusion_cfg))
-            return decoded
+        decoded = self.decode(tgt_in_ids, outputs, training=training, last_only=last_only)
         logits = decoded["logits"]
         mode = self.fusion_cfg.mode
-        if mode == "surface-hard":
-            log_p_dec = T.log_softmax(logits, axis=-1)
-            score = S.hard_fuse(log_p_dec, decoded["surface_log_p"], self.fusion_cfg.lambda_)
-            decoded["log_p_decoder"] = log_p_dec
+        if outputs.surface is not None:
+            score = Tensor(outputs.surface.fused_scores(logits.data, decoded["decoder_out"].data))
+        elif mode == "surface-hard":
+            score = S.hard_fuse(T.log_softmax(logits, axis=-1), decoded["surface_log_p"],
+                                self.fusion_cfg.lambda_)
         elif mode == "surface-soft":
             score = S.soft_fuse(logits, decoded["surface_log_p"])
         else:

@@ -124,22 +124,23 @@ def _log_softmax_np(z: np.ndarray) -> np.ndarray:
 
 
 class SurfaceDecodeState:
-    """Per-sentence cache for fused decoding.
+    """Graph-free surface head and fusion for one encoded batch (inference).
 
-    The encoder-side key/value projections never change while decoding one
-    sentence, so they are computed once here; each step only projects the
-    current decoder state and runs the tiny attention in plain numpy. Keeps
+    Everything that stays fixed while the batch is decoded is built once
+    here: the encoder-side key/value projections, the transposed pre-softmax
+    weight and the fusion settings. Each call then only projects the
+    decoder states and runs the small attention in plain numpy, which keeps
     the fused decode overhead well under the latency budget.
     """
 
     def __init__(self, head: SurfaceHead, encoder_final: np.ndarray, x_emb: np.ndarray,
-                 attn_mask: np.ndarray | None, tau: float):
+                 attn_mask: np.ndarray, presoftmax_w: np.ndarray, cfg: FusionConfig):
         attn = head.attn
         self.heads = attn.n_heads
         b, i, d = encoder_final.shape
         self.d_head = d // self.heads
         self.scale = 1.0 / np.sqrt(self.d_head)
-        self.tau = tau
+        self.cfg = cfg
         k = encoder_final @ attn.wk.w.data + attn.wk.b.data
         v = x_emb @ attn.wv.w.data + attn.wv.b.data
         self.k = np.ascontiguousarray(
@@ -149,39 +150,31 @@ class SurfaceDecodeState:
         self.mask = attn_mask
         self.wq_w, self.wq_b = attn.wq.w.data, attn.wq.b.data
         self.wo_w, self.wo_b = attn.wo.w.data, attn.wo.b.data
-        self._presoftmax_t: np.ndarray | None = None
+        self.presoftmax_t = np.ascontiguousarray(presoftmax_w.T)
 
-    def _vocab_proj(self, presoftmax_w: np.ndarray) -> np.ndarray:
-        if self._presoftmax_t is None:
-            self._presoftmax_t = np.ascontiguousarray(presoftmax_w.T)
-        return self._presoftmax_t
-
-    def surface_logits(self, decoder_last: np.ndarray, presoftmax_w: np.ndarray) -> np.ndarray:
-        """Temperature-scaled surface logits for the final decoder position
-        (an unnormalized shift of the surface log-distribution)."""
-        b, j, d = decoder_last.shape
-        q = decoder_last @ self.wq_w + self.wq_b
+    def surface_logits(self, decoder_out: np.ndarray) -> np.ndarray:
+        """Temperature-scaled surface logits for each decoder position (an
+        unnormalized shift of the surface log-distribution)."""
+        b, j, d = decoder_out.shape
+        q = decoder_out @ self.wq_w + self.wq_b
         q = q.reshape(b, j, self.heads, self.d_head).transpose(0, 2, 1, 3)
-        scores = (q @ self.k) * self.scale
-        if self.mask is not None:
-            scores = scores + self.mask
+        scores = (q @ self.k) * self.scale + self.mask
         scores -= scores.max(axis=-1, keepdims=True)
         e = np.exp(scores)
         weights = e / e.sum(axis=-1, keepdims=True)
         ctx = (weights @ self.v).transpose(0, 2, 1, 3).reshape(b, j, d)
         r = ctx @ self.wo_w + self.wo_b
-        return (r @ self._vocab_proj(presoftmax_w)) / self.tau
+        return (r @ self.presoftmax_t) / self.cfg.tau
 
-    def fused_scores(self, decoder_logits: np.ndarray, decoder_last: np.ndarray,
-                     presoftmax_w: np.ndarray, cfg: FusionConfig) -> np.ndarray:
+    def fused_scores(self, decoder_logits: np.ndarray, decoder_out: np.ndarray) -> np.ndarray:
         """Mode-matched fused score, computed without the autograd graph.
 
         Soft fusion exploits log softmax's shift invariance: adding the
         unnormalized surface logits equals adding the normalized surface
         log-probabilities, so the surface normalization is skipped.
         """
-        s_logits = self.surface_logits(decoder_last, presoftmax_w)
-        if cfg.mode == "surface-soft":
+        s_logits = self.surface_logits(decoder_out)
+        if self.cfg.mode == "surface-soft":
             return _log_softmax_np(decoder_logits + s_logits)
-        return (cfg.lambda_ * _log_softmax_np(decoder_logits)
-                + (1.0 - cfg.lambda_) * _log_softmax_np(s_logits))
+        return (self.cfg.lambda_ * _log_softmax_np(decoder_logits)
+                + (1.0 - self.cfg.lambda_) * _log_softmax_np(s_logits))

@@ -38,6 +38,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """True unless inside a `no_grad` block."""
+    return _grad_enabled
+
+
 def _fnv1a64(text: str) -> int:
     h = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
@@ -178,12 +183,6 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -192,9 +191,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -212,9 +208,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
@@ -298,30 +291,6 @@ def add(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), backward, "add")
-
-
-def sub(a, b) -> Tensor:
-    a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, like=a)
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), backward, "sub")
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    data = -a.data
-
-    def backward(g):
-        _accumulate(a, -g)
-
-    return _make(data, (a,), backward, "neg")
 
 
 def mul(a, b) -> Tensor:
@@ -423,24 +392,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _make(np.asarray(data, dtype=a.data.dtype), (a,), backward, "sum")
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.data.shape[ax] for ax in axis]))
-    else:
-        count = a.data.shape[axis]
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape) / count)
-
-    return _make(np.asarray(data, dtype=a.data.dtype), (a,), backward, "mean")
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

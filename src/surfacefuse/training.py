@@ -17,10 +17,10 @@ import numpy as np
 
 from . import data as D
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import BOS_ID, EOS_ID, PAD_ID
+from .data import BOS_ID, EOS_ID
 from .errors import ConfigError, InvalidParameterError, NumericError
 from .model import Seq2Seq
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 
 @dataclass
@@ -284,15 +284,13 @@ def beam_decode(model: Seq2Seq, src_ids, beam_size: int = 4, alpha: float = 0.0,
     src = np.asarray(src_ids, dtype=np.int64)[None, :]
     with no_grad():
         outputs = model.encode(src, training=False)
-        surface_state = model.surface_decode_state(outputs)
         live = [([BOS_ID], 0.0)]
         finished: list[tuple[list[int], float]] = []
         for _ in range(limit):
             candidates = []
             for prefix, score in live:
                 decoded = model.position_scores(outputs, np.asarray(prefix, dtype=np.int64)[None, :],
-                                                training=False, last_only=True,
-                                                surface_state=surface_state)
+                                                last_only=True)
                 token_scores = decoded["score"].data[0, -1]
                 top = np.argsort(-token_scores, kind="stable")[:beam_size]
                 for tok in top:

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete. Several criteria train small models (copy and cipher tasks, three
-seeds for the directional replications); expect the module to take 15 to 25
-minutes on one CPU core.
+seeds for the directional replications), so this module takes nearly all of
+the suite's wall time; README.md ("Install and test") gives measured times.
 """
 
 import json

@@ -167,13 +167,6 @@ class TestParallelText:
         with pytest.raises(DataError):
             load_parallel_text(tmp_path / "e.src", tmp_path / "e.tgt")
 
-    def test_separate_vocabularies(self, tmp_path):
-        pairs = [(["a", "b"], ["c", "d"])]
-        save_pairs(pairs, tmp_path / "s.src", tmp_path / "s.tgt")
-        _, sv, tv = load_parallel_text(tmp_path / "s.src", tmp_path / "s.tgt", joint=False)
-        assert sv is not tv
-        assert sv.encode(["c"]) == [3]  # target-only token is unk on the source side
-
 
 class TestBatching:
     def test_shift_and_padding_layout(self):

@@ -15,6 +15,7 @@ from surfacefuse.fusion import (
 from surfacefuse.model import ModelConfig, Seq2Seq
 from surfacefuse.surface import FusionConfig
 from surfacefuse.tensor import Rng, Tensor
+from surfacefuse.training import beam_decode
 from surfacefuse.data import make_batch
 
 
@@ -105,8 +106,8 @@ class TestFuse:
         rng = Rng(2)
         outputs = random_outputs(rng, 2, i=3, d=4)
         w_hat = normalize_weights(weights.raw)
-        target = Tensor(rng.spawn("t").normal(0, 1, (1, 3, 4)))
-        diff = fuse(outputs, 0, w_hat) - target
+        target = rng.spawn("t").normal(0, 1, (1, 3, 4))
+        diff = fuse(outputs, 0, w_hat) + Tensor(-target)
         (diff * diff).sum().backward()
         assert np.linalg.norm(weights.raw.grad) > 0
 
@@ -262,3 +263,17 @@ class TestModelIntegration:
         outputs = random_outputs(rng, 2, i=3, d=4)
         with pytest.raises(InvalidParameterError):
             decoder_sources(outputs, FusionWeights(1, 3, 4), "none", 2, None, False)
+
+    def test_beam_decode_builds_fused_sources_once(self, monkeypatch):
+        cfg = ModelConfig(n_enc_layers=2, n_dec_layers=2, d_model=8, n_heads=2, d_ff=16,
+                          vocab_src=12, vocab_tgt=12, max_len=16)
+        model = Seq2Seq(cfg, FusionConfig(mode="fine"), seed=0)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return decoder_sources(*args, **kwargs)
+
+        monkeypatch.setattr("surfacefuse.fusion.decoder_sources", counting)
+        beam_decode(model, [4, 5, 6, 7], beam_size=4)
+        assert len(calls) == 1

@@ -15,7 +15,7 @@ from surfacefuse.surface import (
     soft_fuse,
     surface_log_probability,
 )
-from surfacefuse.tensor import Rng, Tensor
+from surfacefuse.tensor import Rng, Tensor, no_grad
 import surfacefuse.tensor as T
 
 
@@ -228,13 +228,19 @@ class TestEndToEnd:
         ("surface-hard", {"lambda_": 0.8, "tau": 1.0}),
     ])
     def test_decode_cache_matches_graph_path(self, mode, kw):
-        from surfacefuse.tensor import no_grad
+        """Scores under no_grad (surface cache) equal the grad-enabled graph path."""
         model = surface_model(mode, seed=5, **kw)
-        src = np.array([[4, 5, 6, 7]])
-        tgt = np.array([[1, 8, 9]])
+        src = np.array([[4, 5, 6, 7, 8], [9, 10, 11, 0, 0]])
+        tgt = np.array([[1, 8, 9, 4], [1, 5, 6, 7]])
+        graph_out = model.encode(src)
+        assert graph_out.surface is None
         with no_grad():
-            out = model.encode(src)
-            state = model.surface_decode_state(out)
-            slow = model.position_scores(out, tgt, last_only=True)["score"].data
-            fast = model.position_scores(out, tgt, last_only=True, surface_state=state)["score"].data
-        np.testing.assert_allclose(fast, slow, atol=1e-10)
+            cached_out = model.encode(src)
+        assert cached_out.surface is not None
+        for last_only in (False, True):
+            graph = model.position_scores(graph_out, tgt, last_only=last_only)["score"]
+            with no_grad():
+                cached = model.position_scores(cached_out, tgt, last_only=last_only)["score"]
+            assert graph.requires_grad and not cached.requires_grad
+            assert cached.shape == graph.shape == (2, 1 if last_only else 4, 12)
+            np.testing.assert_allclose(cached.data, graph.data, rtol=0, atol=1e-10)
