@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
 from .tensor import Rng, Tensor
 
 # Additive mask value; exp(-1e9) underflows to exactly zero weight.
@@ -33,52 +32,6 @@ def causal_mask(length: int, dtype=np.float64) -> np.ndarray:
     """Additive mask (1, 1, L, L) blocking attention to future positions."""
     upper = np.triu(np.ones((length, length), dtype=bool), k=1)
     return np.where(upper, NEG_INF, 0.0).astype(dtype)[None, None]
-
-
-def multi_head_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    mask: np.ndarray | None = None,
-    n_heads: int = 1,
-    return_weights: bool = False,
-):
-    """Scaled dot-product attention over the last two axes.
-
-    Inputs are (..., L, D) with `n_heads` dividing D; each head is scaled by
-    1/sqrt(D/n_heads). `mask` is an additive array broadcastable to the
-    (..., heads, L_q, L_k) score shape; masked slots get exactly zero weight.
-    """
-    d = q.shape[-1]
-    if d % n_heads != 0:
-        raise ShapeError(f"n_heads={n_heads} must divide model width {d}")
-    if k.shape[-2] == 0:
-        raise ShapeError("attention over an empty key set")
-    squeeze = q.ndim == 2
-    if squeeze:
-        q, k, v = (T.reshape(t, (1,) + t.shape) for t in (q, k, v))
-    d_head = d // n_heads
-
-    def split(t):
-        b, l, _ = t.shape
-        return T.transpose(T.reshape(t, (b, l, n_heads, d_head)), (0, 2, 1, 3))
-
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))) * (1.0 / math.sqrt(d_head))
-    if mask is not None:
-        m = np.asarray(mask, dtype=scores.dtype)
-        while m.ndim < 4:
-            m = m[None]
-        scores = scores + Tensor(m)
-    weights = T.softmax_temp(scores, tau=1.0, axis=-1)
-    ctx = T.matmul(weights, vh)
-    b, _, lq, _ = ctx.shape
-    out = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, lq, d))
-    if squeeze:
-        out = T.reshape(out, out.shape[1:])
-    if return_weights:
-        return out, weights
-    return out
 
 
 class Linear:
@@ -141,8 +94,7 @@ class MultiHeadAttentionLayer:
         self.wo = Linear(f"{name}.wo", dim, dim, rng, dtype)
 
     def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        out = multi_head_attention(self.wq(q_in), self.wk(k_in), self.wv(v_in),
-                                   mask=mask, n_heads=self.n_heads)
+        out = T.attention(self.wq(q_in), self.wk(k_in), self.wv(v_in), mask, self.n_heads)
         return self.wo(out)
 
     def named_parameters(self):

@@ -118,35 +118,26 @@ def soft_fuse(decoder_logits: Tensor, log_p_surface: Tensor) -> Tensor:
     return T.log_softmax(decoder_logits + log_p_surface, axis=-1)
 
 
-def _log_softmax_np(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 class SurfaceDecodeState:
     """Graph-free surface head and fusion for one encoded batch (inference).
 
     Everything that stays fixed while the batch is decoded is built once
     here: the encoder-side key/value projections, the transposed pre-softmax
     weight and the fusion settings. Each call then only projects the
-    decoder states and runs the small attention in plain numpy, which keeps
-    the fused decode overhead well under the latency budget.
+    decoder states and runs the attention kernels of `T.attention` on plain
+    arrays, which keeps the fused decode overhead well under the latency
+    budget.
     """
 
     def __init__(self, head: SurfaceHead, encoder_final: np.ndarray, x_emb: np.ndarray,
                  attn_mask: np.ndarray, presoftmax_w: np.ndarray, cfg: FusionConfig):
         attn = head.attn
         self.heads = attn.n_heads
-        b, i, d = encoder_final.shape
-        self.d_head = d // self.heads
-        self.scale = 1.0 / np.sqrt(self.d_head)
         self.cfg = cfg
-        k = encoder_final @ attn.wk.w.data + attn.wk.b.data
-        v = x_emb @ attn.wv.w.data + attn.wv.b.data
-        self.k = np.ascontiguousarray(
-            k.reshape(b, i, self.heads, self.d_head).transpose(0, 2, 3, 1))  # (B,H,dk,I)
-        self.v = np.ascontiguousarray(
-            v.reshape(b, i, self.heads, self.d_head).transpose(0, 2, 1, 3))  # (B,H,I,dk)
+        k = T.split_heads(encoder_final @ attn.wk.w.data + attn.wk.b.data, self.heads)
+        self.k_t = np.ascontiguousarray(k.transpose(0, 1, 3, 2))  # (B, H, d_head, I)
+        self.v = np.ascontiguousarray(T.split_heads(x_emb @ attn.wv.w.data + attn.wv.b.data,
+                                                    self.heads))
         self.mask = attn_mask
         self.wq_w, self.wq_b = attn.wq.w.data, attn.wq.b.data
         self.wo_w, self.wo_b = attn.wo.w.data, attn.wo.b.data
@@ -155,15 +146,9 @@ class SurfaceDecodeState:
     def surface_logits(self, decoder_out: np.ndarray) -> np.ndarray:
         """Temperature-scaled surface logits for each decoder position (an
         unnormalized shift of the surface log-distribution)."""
-        b, j, d = decoder_out.shape
-        q = decoder_out @ self.wq_w + self.wq_b
-        q = q.reshape(b, j, self.heads, self.d_head).transpose(0, 2, 1, 3)
-        scores = (q @ self.k) * self.scale + self.mask
-        scores -= scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        weights = e / e.sum(axis=-1, keepdims=True)
-        ctx = (weights @ self.v).transpose(0, 2, 1, 3).reshape(b, j, d)
-        r = ctx @ self.wo_w + self.wo_b
+        q = T.split_heads(decoder_out @ self.wq_w + self.wq_b, self.heads)
+        weights = T.attention_weights(q, self.k_t, self.mask)
+        r = T.merge_heads(weights @ self.v) @ self.wo_w + self.wo_b
         return (r @ self.presoftmax_t) / self.cfg.tau
 
     def fused_scores(self, decoder_logits: np.ndarray, decoder_out: np.ndarray) -> np.ndarray:
@@ -175,6 +160,6 @@ class SurfaceDecodeState:
         """
         s_logits = self.surface_logits(decoder_out)
         if self.cfg.mode == "surface-soft":
-            return _log_softmax_np(decoder_logits + s_logits)
-        return (self.cfg.lambda_ * _log_softmax_np(decoder_logits)
-                + (1.0 - self.cfg.lambda_) * _log_softmax_np(s_logits))
+            return T.log_softmax_array(decoder_logits + s_logits)
+        return (self.cfg.lambda_ * T.log_softmax_array(decoder_logits)
+                + (1.0 - self.cfg.lambda_) * T.log_softmax_array(s_logits))

@@ -146,9 +146,6 @@ class Tensor:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -169,7 +166,7 @@ class Tensor:
             if self.data.size != 1:
                 raise ShapeError("backward() without explicit grad needs a scalar root")
             grad = np.ones_like(self.data)
-        order = sorted(_toposort(self), key=lambda node: node._seq)
+        order = _toposort(self)
         _accumulate(self, np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(order):
             if node._backward is not None:
@@ -198,11 +195,6 @@ class Tensor:
     def __getitem__(self, key):
         return getitem(self, key)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
     def transpose(self, axes):
         return transpose(self, axes)
 
@@ -223,22 +215,16 @@ def as_tensor(x, like: Tensor | None = None) -> Tensor:
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    """`root` and every node it reaches through gradient-recording parents,
+    in creation order (a topological order: inputs precede consumers)."""
+    seen = {id(root): root}
+    stack = [root]
     while stack:
-        node, processed = stack.pop()
-        if processed:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
+        for parent in stack.pop()._parents:
             if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
-    return order
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return sorted(seen.values(), key=lambda node: node._seq)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -347,23 +333,12 @@ def relu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "relu")
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(data, (a,), backward, "reshape")
-
-
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
     data = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        _accumulate(a, np.transpose(g, inverse))
+        _accumulate(a, np.transpose(g, np.argsort(axes)))
 
     return _make(data, (a,), backward, "transpose")
 
@@ -432,16 +407,87 @@ def softmax_temp(logits: Tensor, tau: float = 1.0, axis: int = -1) -> Tensor:
     return _make(data, (logits,), backward, "softmax_temp")
 
 
+def log_softmax_array(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted log softmax of a plain array (the kernel of `log_softmax`)."""
+    z = z - z.max(axis=axis, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     logits = as_tensor(logits)
-    z = logits.data - logits.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    data = z - lse
+    data = log_softmax_array(logits.data, axis)
 
     def backward(g):
         _accumulate(logits, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
 
     return _make(data, (logits,), backward, "log_softmax")
+
+
+def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(B, L, D) -> (B, H, L, D/H) view, one slice per head."""
+    b, length, d = x.shape
+    return x.reshape(b, length, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x: np.ndarray) -> np.ndarray:
+    """(B, H, L, D/H) -> (B, L, D): the inverse of `split_heads`."""
+    b, h, length, d_head = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, length, h * d_head)
+
+
+def attention_weights(q_h: np.ndarray, k_t: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """softmax((q_h @ k_t) / sqrt(d_head) + mask) over the key axis.
+
+    `q_h` is (B, H, L_q, d_head) and `k_t` the keys already transposed to
+    (B, H, d_head, L_k). The scale is a Python float and the mask is cast to
+    the score dtype, so float32 inputs give float32 weights.
+    """
+    scores = (q_h @ k_t) * (1.0 / math.sqrt(q_h.shape[-1]))
+    if mask is not None:
+        scores += np.asarray(mask, dtype=scores.dtype)
+    if np.isnan(scores).any():
+        raise NumericError("attention: NaN in scores")
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
+              n_heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention as one graph node.
+
+    `q` is (B, L_q, D), `k` and `v` are (B, L_k, D), with `n_heads` dividing
+    D. `mask` is additive and broadcastable to (B, H, L_q, L_k); masked
+    slots get exactly zero weight. Returns the merged (B, L_q, D) context.
+    """
+    d = q.shape[-1]
+    if d % n_heads != 0:
+        raise ShapeError(f"n_heads={n_heads} must divide model width {d}")
+    if k.shape[-2] == 0:
+        raise ShapeError("attention over an empty key set")
+    q_h, k_h, v_h = (split_heads(t.data, n_heads) for t in (q, k, v))
+    weights = attention_weights(q_h, k_h.transpose(0, 1, 3, 2), mask)
+    data = merge_heads(weights @ v_h)
+
+    # The backward replays the products of the reshape/transpose/matmul/
+    # softmax chain this op replaces, with the same operand order and result
+    # layout (the key gradient stays a transposed view: bias gradients sum
+    # over it, and numpy's summation order follows the layout). Gradients,
+    # and so training runs, are bit-identical to that chain's.
+    def backward(g):
+        g_h = split_heads(g, n_heads)
+        if v.requires_grad:
+            _accumulate(v, merge_heads(weights.swapaxes(-1, -2) @ g_h))
+        if q.requires_grad or k.requires_grad:
+            g_w = g_h @ v_h.swapaxes(-1, -2)
+            g_scores = (g_w - (g_w * weights).sum(axis=-1, keepdims=True)) * weights
+            g_scores *= 1.0 / math.sqrt(q_h.shape[-1])
+            if k.requires_grad:
+                _accumulate(k, merge_heads((q_h.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)))
+            if q.requires_grad:
+                _accumulate(q, merge_heads(g_scores @ k_h))
+
+    return _make(data, (q, k, v), backward, "attention")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -520,6 +566,7 @@ def dropout(x: Tensor, p: float, rng: Rng, training: bool) -> Tensor:
 
 
 def _find_nonfinite_op(root: Tensor) -> str:
+    """Op of the earliest-created non-finite node in `root`'s graph."""
     for node in _toposort(root):
         if not np.isfinite(node.data).all():
             return node.op

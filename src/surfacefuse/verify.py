@@ -11,6 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import make_batch
+from .layers import padding_mask
 from .model import ModelConfig, Seq2Seq
 from .surface import FusionConfig
 from .tensor import Rng, Tensor, grad_check
@@ -50,8 +51,8 @@ def primitive_checks(seed: int = 0):
     checks.append(("relu", [("a", g)], lambda: (T.relu(g) * T.relu(g)).sum()))
 
     h = r("shape.a", (2, 3, 4))
-    checks.append(("reshape_transpose_getitem", [("a", h)],
-                   lambda: (h.transpose((1, 0, 2)).reshape(6, 4)[1:5] * 2.0).sum()))
+    checks.append(("transpose_getitem", [("a", h)],
+                   lambda: (h.transpose((1, 0, 2))[1:3] * 2.0).sum()))
 
     i = r("red.a", (3, 4))
     checks.append(("sum", [("a", i)], lambda: (i.sum(axis=0) * i.sum(axis=1, keepdims=True)).sum()))
@@ -77,6 +78,12 @@ def primitive_checks(seed: int = 0):
     ids = np.array([[1, 3, 3], [0, 8, 2]])
     checks.append(("embedding", [("w", o)],
                    lambda: (T.embedding(o, ids) * T.embedding(o, ids)).sum()))
+
+    aq = r("attn.q", (2, 3, 4)); ak = r("attn.k", (2, 5, 4)); av = r("attn.v", (2, 5, 4))
+    aw = Tensor(rng.spawn("attn.w").normal(0, 1, (2, 3, 4)))
+    amask = padding_mask(np.array([[5, 5, 5, 5, 5], [5, 5, 5, 0, 0]]), pad_id=0)
+    checks.append(("attention", [("q", aq), ("k", ak), ("v", av)],
+                   lambda: (T.attention(aq, ak, av, amask, n_heads=2) * aw).sum()))
 
     return checks
 

@@ -334,36 +334,34 @@ def test_criterion_11_latency_budget(soft_and_vanilla_models, cipher64_data, cap
     model = soft_and_vanilla_models[1]["surface-soft"]
     test_ids = cipher64_data["test"]
     assert len(test_ids) == 500
+    fused_cfg, vanilla_cfg = model.fusion_cfg, FusionConfig(mode="none")
 
-    def decode_all():
-        # timed section: collector noise excluded like any wall-clock benchmark
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.monotonic()
-            for src, _ in test_ids:
-                greedy_decode(model, src)
-            return time.monotonic() - start
-        finally:
-            gc.enable()
+    def decode_time(src, cfg):
+        model.fusion_cfg = cfg
+        start = time.perf_counter()
+        greedy_decode(model, src)
+        return time.perf_counter() - start
 
-    def best_of(n=3):
-        return min(decode_all() for _ in range(n))
-
-    decode_all()  # warm-up
-    fused_time = best_of()
-    original = model.fusion_cfg
-    model.fusion_cfg = FusionConfig(mode="none")
+    # Each sentence is decoded 5 times per mode, the modes alternating, and
+    # the fastest decode of each counts: a slow stretch of a shared host then
+    # hits both modes alike instead of whichever full pass it fell in.
+    fused_time = base_time = 0.0
+    gc.collect()
+    gc.disable()  # collector noise excluded like any wall-clock benchmark
     try:
-        decode_all()
-        base_time = best_of()
+        for src, _ in test_ids:
+            times = [(decode_time(src, fused_cfg), decode_time(src, vanilla_cfg)) for _ in range(5)]
+            fused_time += min(f for f, _ in times)
+            base_time += min(b for _, b in times)
     finally:
-        model.fusion_cfg = original
+        gc.enable()
+        model.fusion_cfg = fused_cfg
     overhead = fused_time / base_time - 1.0
     with capsys.disabled():
         report(11, overhead <= 0.15,
                f"surface fusion adds {overhead * 100:.1f}% decode wall-clock over vanilla "
-               f"({fused_time:.1f}s vs {base_time:.1f}s on 500 sentences; budget 15%)")
+               f"({fused_time:.2f}s vs {base_time:.2f}s, summed per-sentence best of 5 "
+               f"interleaved decodes over 500 sentences; budget 15%)")
 
 
 def test_criterion_12_reproducibility(tmp_path, capsys):

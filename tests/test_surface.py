@@ -191,9 +191,9 @@ class TestFusionConfig:
         FusionConfig(mode="surface-soft", tau=5.0).validate()
 
 
-def surface_model(mode, seed=0, **fusion_kw):
+def surface_model(mode, seed=0, dtype="float64", **fusion_kw):
     cfg = ModelConfig(n_enc_layers=2, n_dec_layers=2, d_model=8, n_heads=2, d_ff=16,
-                      vocab_src=12, vocab_tgt=12, max_len=16)
+                      vocab_src=12, vocab_tgt=12, max_len=16, dtype=dtype)
     return Seq2Seq(cfg, FusionConfig(mode=mode, **fusion_kw), seed=seed)
 
 
@@ -244,3 +244,18 @@ class TestEndToEnd:
             assert graph.requires_grad and not cached.requires_grad
             assert cached.shape == graph.shape == (2, 1 if last_only else 4, 12)
             np.testing.assert_allclose(cached.data, graph.data, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("mode,kw", [
+        ("surface-soft", {"tau": 5.0}),
+        ("surface-hard", {"lambda_": 0.8, "tau": 1.0}),
+    ])
+    def test_float32_cache_keeps_model_dtype(self, mode, kw):
+        """A float32 model's graph-free scores stay float32, like its graph path."""
+        model = surface_model(mode, seed=5, dtype="float32", **kw)
+        src = np.array([[4, 5, 6, 7, 8], [9, 10, 11, 0, 0]])
+        tgt = np.array([[1, 8, 9, 4], [1, 5, 6, 7]])
+        graph = model.position_scores(model.encode(src), tgt)["score"]
+        with no_grad():
+            cached = model.position_scores(model.encode(src), tgt)["score"]
+        assert graph.dtype == cached.dtype == np.float32
+        np.testing.assert_allclose(cached.data, graph.data, rtol=0, atol=1e-5)

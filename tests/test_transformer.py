@@ -7,13 +7,13 @@ from surfacefuse.layers import (
     Linear,
     MultiHeadAttentionLayer,
     causal_mask,
-    multi_head_attention,
     padding_mask,
     sinusoid_positions,
 )
 from surfacefuse.model import BOS_ID, ModelConfig, Seq2Seq
 from surfacefuse.surface import FusionConfig
 from surfacefuse.tensor import Rng, Tensor, no_grad
+import surfacefuse.tensor as T
 
 
 def tiny_config(**kw):
@@ -67,42 +67,47 @@ class TestEncode:
             model.encode(src_batch([0, 0, 0]))  # all-pad row forbidden
 
 
+def weights_of(q, k, n_heads, mask=None):
+    """The attention weights `T.attention(q, k, ., mask, n_heads)` applies."""
+    k_t = T.split_heads(k.data, n_heads).transpose(0, 1, 3, 2)
+    return T.attention_weights(T.split_heads(q.data, n_heads), k_t, mask)
+
+
 class TestAttentionCore:
     def test_single_position_returns_value(self):
-        q = Tensor(Rng(0).normal(0, 1, (3, 4)))
-        k = Tensor(Rng(1).normal(0, 1, (1, 4)))
-        v = Tensor(Rng(2).normal(0, 1, (1, 4)))
-        out = multi_head_attention(q, k, v, n_heads=1)
-        np.testing.assert_allclose(out.data, np.repeat(v.data, 3, axis=0), atol=1e-12)
+        q = Tensor(Rng(0).normal(0, 1, (1, 3, 4)))
+        k = Tensor(Rng(1).normal(0, 1, (1, 1, 4)))
+        v = Tensor(Rng(2).normal(0, 1, (1, 1, 4)))
+        out = T.attention(q, k, v, n_heads=1)
+        np.testing.assert_allclose(out.data, np.repeat(v.data, 3, axis=1), atol=1e-12)
 
     def test_identical_keys_give_uniform_weights(self):
-        q = Tensor(Rng(0).normal(0, 1, (2, 4)))
-        k = Tensor(np.ones((3, 4)))
-        v = Tensor(Rng(2).normal(0, 1, (3, 4)))
-        out, weights = multi_head_attention(q, k, v, n_heads=2, return_weights=True)
-        np.testing.assert_allclose(weights.data, 1.0 / 3.0, atol=1e-12)
-        np.testing.assert_allclose(out.data, np.repeat(v.data.mean(axis=0, keepdims=True), 2, axis=0),
+        q = Tensor(Rng(0).normal(0, 1, (1, 2, 4)))
+        k = Tensor(np.ones((1, 3, 4)))
+        v = Tensor(Rng(2).normal(0, 1, (1, 3, 4)))
+        out = T.attention(q, k, v, n_heads=2)
+        np.testing.assert_allclose(weights_of(q, k, 2), 1.0 / 3.0, atol=1e-12)
+        np.testing.assert_allclose(out.data, np.repeat(v.data.mean(axis=1, keepdims=True), 2, axis=1),
                                    atol=1e-12)
 
     def test_known_logit_gap(self):
         # single head, d=1: logits are q*k directly, gap ln 3 -> [0.75, 0.25]
         gap = np.log(3.0)
-        q = Tensor(np.array([[1.0]]))
-        k = Tensor(np.array([[gap], [0.0]]))
-        v = Tensor(np.array([[2.0], [-4.0]]))
-        out, weights = multi_head_attention(q, k, v, n_heads=1, return_weights=True)
-        np.testing.assert_allclose(weights.data.reshape(2), [0.75, 0.25], atol=1e-12)
-        np.testing.assert_allclose(out.data, [[0.75 * 2.0 + 0.25 * -4.0]], atol=1e-12)
+        q = Tensor(np.array([[[1.0]]]))
+        k = Tensor(np.array([[[gap], [0.0]]]))
+        v = Tensor(np.array([[[2.0], [-4.0]]]))
+        out = T.attention(q, k, v, n_heads=1)
+        np.testing.assert_allclose(weights_of(q, k, 1).reshape(2), [0.75, 0.25], atol=1e-12)
+        np.testing.assert_allclose(out.data, [[[0.75 * 2.0 + 0.25 * -4.0]]], atol=1e-12)
 
     def test_masked_positions_get_zero_weight(self):
         rng = Rng(5)
         q = Tensor(rng.normal(0, 1, (1, 2, 4)))
         k = Tensor(rng.normal(0, 1, (1, 3, 4)))
-        v = Tensor(rng.normal(0, 1, (1, 3, 4)))
         mask = padding_mask(np.array([[5, 5, 0]]), pad_id=0)
-        _, weights = multi_head_attention(q, k, v, mask=mask, n_heads=2, return_weights=True)
-        assert np.all(weights.data[..., 2] == 0.0)
-        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-9)
+        weights = weights_of(q, k, 2, mask)
+        assert np.all(weights[..., 2] == 0.0)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_uniform_cross_attention_returns_mean_value(self):
         # zeroing the query projection forces uniform weights; each output row
