@@ -262,7 +262,9 @@ class Seq2Seq:
         Returns decoder pre-softmax logits plus, in surface modes without a
         surface cache, the surface log-distribution; `last_only` restricts
         the output projection to the final position for incremental
-        decoding.
+        decoding. `tgt_in_ids` may hold n prefix rows against a batch-1
+        `outputs`: the encoder side broadcasts, and each row scores as it
+        would alone.
         """
         tgt_in_ids = np.asarray(tgt_in_ids)
         if tgt_in_ids.ndim == 1:
@@ -302,7 +304,9 @@ class Seq2Seq:
         fusion it is the unnormalized interpolated log-score (ranking is
         unaffected within a position). When `outputs` carries a surface
         cache, the fused scores of every requested position come from it,
-        graph-free; otherwise they are built on the autograd path.
+        graph-free; otherwise they are built on the autograd path. As in
+        `decode`, n prefix rows may share one batch-1 encoding, which is how
+        beam search scores its whole beam in one call.
         """
         decoded = self.decode(tgt_in_ids, outputs, training=training, last_only=last_only)
         logits = decoded["logits"]

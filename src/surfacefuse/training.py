@@ -277,21 +277,43 @@ def beam_decode(model: Seq2Seq, src_ids, beam_size: int = 4, alpha: float = 0.0,
 
     Length counts generated tokens including the EOS step; beam_size 1
     reproduces greedy decoding exactly (ties break toward the lower id).
+    The live prefixes of a step share one length, so one decoder call
+    scores them all as an (n, t) batch against the sentence's batch-1
+    encoding.
+
+    The search stops once no live prefix can still win. Every per-step
+    score is <= 0 (a log-softmax, or a convex mix of two), so with
+    alpha >= 0 a prefix with score s finishes at best at rank
+    s / max_len**alpha. When the best finished hypothesis ranks at least
+    that high for every live prefix, a later hypothesis can at most tie
+    it, and `max` keeps the first of equal items: the result is the one a
+    search run to max_len would return.
     """
     if beam_size < 1:
         raise InvalidParameterError("beam_size must be >= 1")
-    limit = max_len if max_len is not None else model.config.max_len - 1
+    longest = model.config.max_len - 1
+    limit = max_len if max_len is not None else longest
+    if not 1 <= limit <= longest:
+        raise InvalidParameterError(f"max_len must be in [1, {longest}] for this model, got {limit}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise InvalidParameterError(f"alpha must be finite and >= 0, got {alpha}")
+
+    def ranked(item):
+        prefix, score = item
+        # generated length excludes BOS but counts the EOS step
+        return length_normalized_score(score, len(prefix) - 1, alpha)
+
     src = np.asarray(src_ids, dtype=np.int64)[None, :]
     with no_grad():
         outputs = model.encode(src, training=False)
         live = [([BOS_ID], 0.0)]
         finished: list[tuple[list[int], float]] = []
+        best_rank = -math.inf  # of the finished hypotheses
         for _ in range(limit):
+            prefixes = np.array([prefix for prefix, _ in live], dtype=np.int64)
+            step_scores = model.position_scores(outputs, prefixes, last_only=True)["score"].data[:, -1]
             candidates = []
-            for prefix, score in live:
-                decoded = model.position_scores(outputs, np.asarray(prefix, dtype=np.int64)[None, :],
-                                                last_only=True)
-                token_scores = decoded["score"].data[0, -1]
+            for (prefix, score), token_scores in zip(live, step_scores):
                 top = np.argsort(-token_scores, kind="stable")[:beam_size]
                 for tok in top:
                     candidates.append((prefix + [int(tok)], score + float(token_scores[tok])))
@@ -300,19 +322,16 @@ def beam_decode(model: Seq2Seq, src_ids, beam_size: int = 4, alpha: float = 0.0,
             for prefix, score in candidates:
                 if prefix[-1] == EOS_ID:
                     finished.append((prefix, score))
+                    best_rank = max(best_rank, ranked((prefix, score)))
                 elif len(live) < beam_size:
                     live.append((prefix, score))
                 if len(live) >= beam_size and len(finished) >= beam_size:
                     break
-            if not live:
+            # live is sorted by score, so live[0] has the highest bound
+            if not live or best_rank >= length_normalized_score(live[0][1], limit, alpha):
                 break
-        for prefix, score in live:
-            finished.append((prefix, score))  # ran out of length without EOS
-
-    def ranked(item):
-        prefix, score = item
-        # generated length excludes BOS but counts the EOS step
-        return length_normalized_score(score, len(prefix) - 1, alpha)
+        else:
+            finished.extend(live)  # ran out of length without EOS
 
     best = max(finished, key=ranked)
     ids = best[0][1:]

@@ -277,6 +277,13 @@ class TestDecodeCommand:
                      "--input", str(src), "--out", str(out_file)]) == 0
         assert len(out_file.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("flag,value", [("--max-len", "0"), ("--max-len", "40"),
+                                            ("--alpha", "-1"), ("--alpha", "nan")])
+    def test_bad_decode_argument_exits_1(self, trained_run, capsys, flag, value):
+        assert main(["decode", "--ckpt", str(trained_run / "best.ckpt"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+
     def test_decode_score_dump(self, copy_data, tmp_path):
         run = tmp_path / "softrun"
         cfg_path = write_config(tmp_path / "cs.json",

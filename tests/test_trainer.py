@@ -9,11 +9,19 @@ import pytest
 
 import surfacefuse.checkpoint as checkpoint
 from surfacefuse.checkpoint import load_checkpoint, save_checkpoint
-from surfacefuse.data import encode_pairs, gen_copy, make_batch, token_batches, vocab_for_task
+from surfacefuse.data import (
+    BOS_ID,
+    EOS_ID,
+    encode_pairs,
+    gen_copy,
+    make_batch,
+    token_batches,
+    vocab_for_task,
+)
 from surfacefuse.errors import ConfigError, DataError, InvalidParameterError, NumericError
 from surfacefuse.model import ModelConfig, Seq2Seq
-from surfacefuse.surface import FusionConfig
-from surfacefuse.tensor import Rng, Tensor
+from surfacefuse.surface import FUSION_MODES, FusionConfig
+from surfacefuse.tensor import Rng, Tensor, no_grad
 from surfacefuse.training import (
     Adam,
     TrainConfig,
@@ -249,6 +257,107 @@ class TestDecoding:
         model, test_ids = trained_copy_model
         with pytest.raises(InvalidParameterError):
             beam_decode(model, test_ids[0][0], beam_size=0)
+
+    @pytest.mark.parametrize("max_len", [0, -3, 16, 20])
+    def test_max_len_outside_model_range_rejected(self, max_len):
+        model = toy_model()  # config max_len 16: at most 15 generated tokens
+        with pytest.raises(InvalidParameterError, match="max_len"):
+            beam_decode(model, [4, 5, 6], beam_size=2, max_len=max_len)
+
+    @pytest.mark.parametrize("max_len", [1, 15])
+    def test_max_len_range_ends_accepted(self, max_len):
+        out = beam_decode(toy_model(), [4, 5, 6], beam_size=2, max_len=max_len)
+        assert len(out) <= max_len
+
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf, -math.inf])
+    def test_negative_or_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            beam_decode(toy_model(), [4, 5, 6], beam_size=2, alpha=alpha)
+
+    def test_one_scoring_call_per_step_and_early_stop(self, trained_copy_model, monkeypatch):
+        model, test_ids = trained_copy_model
+        lengths = []
+        position_scores = Seq2Seq.position_scores
+
+        def counting(self, outputs, tgt_in_ids, **kwargs):
+            lengths.append(np.shape(tgt_in_ids)[1])
+            return position_scores(self, outputs, tgt_in_ids, **kwargs)
+
+        monkeypatch.setattr(Seq2Seq, "position_scores", counting)
+        limit = model.config.max_len - 1
+        for src, _ in test_ids[:6]:
+            lengths.clear()
+            beam_decode(model, src, beam_size=4, alpha=1.0)
+            # one call per step, each scoring the whole beam at that step's length
+            assert lengths == list(range(1, len(lengths) + 1))
+            assert len(lengths) < limit
+
+
+def reference_beam_decode(model, src_ids, beam_size, alpha):
+    """The search before batching and early stopping, kept as the reference:
+    one decoder call per live hypothesis per step, always run to max_len."""
+    limit = model.config.max_len - 1
+    src = np.asarray(src_ids, dtype=np.int64)[None, :]
+    with no_grad():
+        outputs = model.encode(src, training=False)
+        live = [([BOS_ID], 0.0)]
+        finished = []
+        for _ in range(limit):
+            candidates = []
+            for prefix, score in live:
+                decoded = model.position_scores(outputs, np.asarray(prefix, dtype=np.int64)[None, :],
+                                                last_only=True)
+                token_scores = decoded["score"].data[0, -1]
+                top = np.argsort(-token_scores, kind="stable")[:beam_size]
+                for tok in top:
+                    candidates.append((prefix + [int(tok)], score + float(token_scores[tok])))
+            candidates.sort(key=lambda c: -c[1])
+            live = []
+            for prefix, score in candidates:
+                if prefix[-1] == EOS_ID:
+                    finished.append((prefix, score))
+                elif len(live) < beam_size:
+                    live.append((prefix, score))
+                if len(live) >= beam_size and len(finished) >= beam_size:
+                    break
+            if not live:
+                break
+        for prefix, score in live:
+            finished.append((prefix, score))
+
+    def ranked(item):
+        prefix, score = item
+        return length_normalized_score(score, len(prefix) - 1, alpha)
+
+    ids = max(finished, key=ranked)[0][1:]
+    if ids and ids[-1] == EOS_ID:
+        ids = ids[:-1]
+    return ids
+
+
+class TestBeamMatchesReference:
+    """The batched, early-stopping search returns the reference's hypotheses."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", FUSION_MODES)
+    def test_untrained_models(self, mode, dtype):
+        tau = 5.0 if mode == "surface-soft" else 1.0
+        model = Seq2Seq(ModelConfig(n_enc_layers=2, n_dec_layers=2, d_model=8, n_heads=2, d_ff=16,
+                                    vocab_src=12, vocab_tgt=12, max_len=10, dtype=dtype),
+                        FusionConfig(mode=mode, tau=tau), seed=1)
+        for src in ([4, 5, 6], [7, 11, 4, 9, 8, 5]):
+            for beam in (1, 2, 4):
+                for alpha in (0.0, 1.0):
+                    assert (beam_decode(model, src, beam_size=beam, alpha=alpha)
+                            == reference_beam_decode(model, src, beam, alpha)), (src, beam, alpha)
+
+    def test_trained_model_where_the_stop_fires(self, trained_copy_model):
+        model, test_ids = trained_copy_model
+        for src, _ in test_ids[:10]:
+            for beam in (1, 2, 4):
+                for alpha in (0.0, 1.0):
+                    assert (beam_decode(model, src, beam_size=beam, alpha=alpha)
+                            == reference_beam_decode(model, src, beam, alpha)), (src, beam, alpha)
 
 
 class TestCorpusBleu:

@@ -11,7 +11,7 @@ from surfacefuse.layers import (
     sinusoid_positions,
 )
 from surfacefuse.model import BOS_ID, ModelConfig, Seq2Seq
-from surfacefuse.surface import FusionConfig
+from surfacefuse.surface import FUSION_MODES, FusionConfig
 from surfacefuse.tensor import Rng, Tensor, no_grad
 import surfacefuse.tensor as T
 
@@ -158,6 +158,24 @@ class TestDecode:
         last = model.decode(tgt, out, last_only=True)["logits"].data
         # matmul of a sliced row reassociates differently than slicing after
         np.testing.assert_allclose(full[:, -1:], last, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", FUSION_MODES)
+    def test_prefix_rows_share_one_encoding(self, mode, dtype):
+        """Beam search scores its n live prefixes as one (n, t) batch against
+        a batch-1 encoding; each row must equal that prefix scored alone."""
+        model = Seq2Seq(tiny_config(dtype=dtype), FusionConfig(mode=mode), seed=3)
+        rng = np.random.default_rng(0)
+        with no_grad():
+            out = model.encode(src_batch([4, 5, 6, 7, 8]))
+            for t in (1, 3, 6):
+                prefixes = np.concatenate([np.full((4, 1), BOS_ID), rng.integers(4, 12, (4, t - 1))],
+                                          axis=1)
+                for last_only in (False, True):
+                    stacked = model.position_scores(out, prefixes, last_only=last_only)["score"].data
+                    for i in range(len(prefixes)):
+                        alone = model.position_scores(out, prefixes[i:i + 1], last_only=last_only)
+                        assert np.array_equal(stacked[i], alone["score"].data[0]), (t, last_only, i)
 
 
 class TestTiedEmbeddings:
