@@ -19,6 +19,9 @@ from .model import ModelConfig, Seq2Seq
 from .surface import FusionConfig
 from .tensor import Rng
 from .training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TrainConfig,
     beam_decode,
     load_checkpoint,
@@ -68,7 +71,8 @@ class RunConfig:
         fusion = _dataclass_from(FusionConfig, raw.get("fusion", {}), "fusion",
                                  json_names=_FUSION_JSON_NAMES, retired=_RETIRED_FUSION)
         fusion.validate()
-        train_cfg = _dataclass_from(TrainConfig, raw.get("train", {}), "train")
+        train_cfg = _dataclass_from(TrainConfig, raw.get("train", {}), "train",
+                                    retired=_RETIRED_TRAIN)
         if "seed" not in raw.get("train", {}):
             train_cfg.seed = seed
         return cls(seed=seed, out=out, data=data, model=model, fusion=fusion, train=train_cfg)
@@ -88,9 +92,10 @@ class RunConfig:
 # JSON key -> FusionConfig field, in config.json order
 _FUSION_JSON_NAMES = {"mode": "mode", "lambda": "lambda_", "tau": "tau", "p": "dropconnect"}
 
-# Retired fusion options and the one value configs ever held for them;
-# run directories written before their removal still load.
+# Retired options and the one value configs ever held for them; run
+# directories written before their removal still load.
 _RETIRED_FUSION = {"dropconnect_on": "raw", "renormalize_hard": False}
+_RETIRED_TRAIN = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
 
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
@@ -170,10 +175,13 @@ def _write_task_meta(out_dir: str, meta: dict) -> None:
 
 def generate_dataset(args) -> str:
     """`gen` implementation; returns the dataset directory."""
+    counts = {"train": args.n_train, "valid": args.n_valid, "test": args.n_test}
+    for split, n in counts.items():
+        if n < 1:  # an empty split file never loads
+            raise InvalidParameterError(f"--n-{split} must be >= 1, got {n}")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     rng = Rng(args.seed)
-    counts = {"train": args.n_train, "valid": args.n_valid, "test": args.n_test}
     len_range = (args.len_min, args.len_max)
     meta = {"task": args.task, "seed": args.seed, "counts": counts,
             "len_range": list(len_range)}
@@ -345,11 +353,15 @@ def run_analyze(args) -> dict:
         return report.to_dict()
 
     if args.kind == "mask-sweep":
+        sources = A.source_labels(model)
+        if args.layer is not None and not 0 <= args.layer < len(sources):
+            raise InvalidParameterError(f"--layer {args.layer} outside 0..{len(sources) - 1}")
+        if args.decode_limit < 0:
+            raise InvalidParameterError(f"--decode-limit must be >= 0, got {args.decode_limit}")
         rows = A.mask_sweep(model, dataset["ids"]["test"], metric=args.metric,
                             decode_limit=args.decode_limit)
         if args.layer is not None:
-            labels = {"none"} | {A.source_labels(model)[args.layer]}
-            rows = [r for r in rows if r["layer"] in labels]
+            rows = [r for r in rows if r["layer"] in ("none", sources[args.layer])]
         payload = {"kind": "mask-sweep", "metric": args.metric, "rows": rows}
         A.write_json(os.path.join(out_dir, "mask_sweep.json"), payload)
         return payload

@@ -121,29 +121,18 @@ def _random_sequence(length: int, vocab_size: int, rng: Rng,
 
 def gen_copy(n: int, len_range: tuple[int, int], vocab_size: int, rng: Rng,
              skew: float = 0.0):
-    """n (source, target) pairs with target == source.
-
-    skew > 0 draws tokens Zipf-like instead of uniformly, giving the corpus
-    a natural-language-shaped frequency tail.
-    """
-    lo, hi = len_range
-    if lo < 1 or hi < lo:
-        raise InvalidParameterError(f"bad length range {len_range}")
-    probs = _token_distribution(vocab_size, skew)
-    pairs = []
-    for _ in range(n):
-        length = int(rng.integers(lo, hi + 1))
-        seq = _random_sequence(length, vocab_size, rng, probs)
-        pairs.append((seq, list(seq)))
-    return pairs
+    """n (source, target) pairs with target == source: a cipher whose
+    permutation is the identity. skew works as in gen_cipher."""
+    return gen_cipher(CipherTask(vocab_size, np.arange(vocab_size), 1.0), n, len_range, rng, skew)
 
 
 def gen_cipher(task: CipherTask, n: int, len_range: tuple[int, int], rng: Rng,
                skew: float = 0.0):
     """n pairs with target = permutation(source), optionally adjacent-swapped.
 
-    skew shapes the source token frequencies as in gen_copy; the alignment
-    stays exact either way.
+    skew > 0 draws source tokens Zipf-like instead of uniformly, giving the
+    corpus a natural-language-shaped frequency tail; the alignment stays
+    exact either way.
     """
     lo, hi = len_range
     if lo < 1 or hi < lo:

@@ -169,9 +169,8 @@ class Seq2Seq:
         if fusion_cfg.is_surface:
             self.surface_head = S.SurfaceHead(d, config.n_heads, root, dt)
 
-        self._drop_rngs = {}
         self._drop_root = root
-        self._dropconnect_rng = root.spawn("drop:fusion.dropconnect")
+        self._drop_rngs: dict[str, Rng] = {}  # spawned on first use, keyed by site
 
     # ------------------------------------------------------------------
     # parameters and dropout plumbing
@@ -193,6 +192,12 @@ class Seq2Seq:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
+    def _drop_rng(self, key: str) -> Rng:
+        rng = self._drop_rngs.get(key)
+        if rng is None:
+            rng = self._drop_rngs[key] = self._drop_root.spawn(key)
+        return rng
+
     def _dropper(self, site: str, training: bool):
         """Per-site dropout closure so streams never depend on sibling modules."""
         p = self.config.dropout
@@ -200,13 +205,19 @@ class Seq2Seq:
         def drop(tag: str, x: Tensor) -> Tensor:
             if not training or p == 0.0:
                 return x
-            key = f"drop:{site}.{tag}"
-            rng = self._drop_rngs.get(key)
-            if rng is None:
-                rng = self._drop_rngs[key] = self._drop_root.spawn(key)
-            return T.dropout(x, p, rng, training)
+            return T.dropout(x, p, self._drop_rng(f"drop:{site}.{tag}"), training)
 
         return drop
+
+    def rng_state_tensors(self) -> dict:
+        """Exact state of every dropout/DropConnect stream spawned so far."""
+        return {f"state.rng.{key}": rng.state_array() for key, rng in self._drop_rngs.items()}
+
+    def load_rng_state(self, tensors: dict) -> None:
+        """Continue the streams saved by `rng_state_tensors`; others start afresh."""
+        for name, arr in tensors.items():
+            if name.startswith("state.rng."):
+                self._drop_rng(name[len("state.rng."):]).load_state_array(arr)
 
     # ------------------------------------------------------------------
     # forward passes
@@ -246,7 +257,7 @@ class Seq2Seq:
         n_dec = self.config.n_dec_layers
         if cfg.is_layer_fusion:
             outputs.sources = F.decoder_sources(outputs, self.fusion_weights, cfg.mode, n_dec,
-                                                self._dropconnect_rng, training,
+                                                self._drop_rng("drop:fusion.dropconnect"), training,
                                                 layer_mask=self.layer_mask)
         else:
             outputs.sources = [x] * n_dec

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError, ShapeError
+from .errors import DataError, InvalidParameterError, NumericError, ShapeError
 
 DEFAULT_DTYPE = np.float64
 
@@ -89,6 +89,26 @@ class Rng:
 
     def choice(self, n: int, size=None, p: np.ndarray | None = None) -> np.ndarray:
         return self._gen.choice(n, size=size, p=p)
+
+    def state_array(self) -> np.ndarray:
+        """The generator's exact state as float64 values that are all integers:
+        PCG64's 128-bit state and increment as four 32-bit limbs each (least
+        significant first), then its buffered-uint32 flag and value."""
+        st = self._gen.bit_generator.state
+        words = (st["state"]["state"], st["state"]["inc"])
+        limbs = [(w >> (32 * i)) & 0xFFFFFFFF for w in words for i in range(4)]
+        return np.array(limbs + [st["has_uint32"], st["uinteger"]], dtype=np.float64)
+
+    def load_state_array(self, arr) -> None:
+        """Resume from a `state_array`; the next draws continue its stream."""
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.shape != (10,) or not all(v.is_integer() and 0 <= v < 2 ** 32 for v in arr.tolist()):
+            raise DataError(f"not a {self.algorithm} stream state: {arr!r}")
+        limbs = [int(v) for v in arr]
+        state, inc = (sum(limb << (32 * i) for i, limb in enumerate(limbs[k:k + 4])) for k in (0, 4))
+        self._gen.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": limbs[8], "uinteger": limbs[9]}
 
     def __repr__(self):
         return f"Rng(algorithm={self.algorithm!r}, seed={self.seed}, key={self._key})"

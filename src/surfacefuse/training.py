@@ -8,6 +8,7 @@ length.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import Counter
@@ -31,9 +32,6 @@ class TrainConfig:
     max_tokens: int = 1024
     lr: float = 2e-3
     warmup: int = 400
-    beta1: float = 0.9
-    beta2: float = 0.98
-    adam_eps: float = 1e-9
     label_smoothing: float = 0.1
     seed: int = 0
     eval_interval: int = 200
@@ -59,19 +57,23 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     return cfg.lr * min(s / cfg.warmup, math.sqrt(cfg.warmup / s))
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
+
+
 class Adam:
     """Standard Adam with bias correction over named parameters."""
 
-    def __init__(self, named_params, cfg: TrainConfig):
+    def __init__(self, named_params):
         self.named_params = list(named_params)
-        self.cfg = cfg
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
 
     def step(self, lr: float) -> None:
         self.step_count += 1
-        b1, b2, eps = self.cfg.beta1, self.cfg.beta2, self.cfg.adam_eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, p in self.named_params:
@@ -134,72 +136,60 @@ def train(model: Seq2Seq, train_ids, valid_ids, cfg: TrainConfig, out_dir=None,
     """Run cfg.steps optimizer updates; logs metrics and keeps checkpoints.
 
     Writes metrics.csv, best.ckpt (lowest validation loss, parameters only)
-    and last.ckpt (parameters + optimizer state) into out_dir when given.
-    Aborts with the offending step on a non-finite loss.
+    and last.ckpt (parameters + optimizer and random-stream state) into
+    out_dir when given. Aborts with the offending step on a non-finite loss.
     """
     cfg.validate()
     if not train_ids:
         raise ConfigError("training dataset is empty")
     stream = D.BatchStream(train_ids, cfg.max_tokens, cfg.seed)
     valid_batches = D.token_batches(valid_ids, cfg.max_tokens) if valid_ids else []
-    opt = Adam(model.named_parameters(), cfg)
+    opt = Adam(model.named_parameters())
     result = TrainResult()
 
     start_step = 0
-    best_val = math.inf
     if resume:
         if out_dir is None:
             raise ConfigError("resume needs an output directory")
         state = load_checkpoint(os.path.join(out_dir, "last.ckpt"))
         load_model_params(model, state)
         opt.load_state(state)
+        model.load_rng_state(state)
         start_step = int(state["state.step"])
         result.start_step = start_step
         # checkpoints written before best_val was stored resume with inf
-        best_val = float(state.get("state.best_val", math.inf))
+        result.best_val_loss = float(state.get("state.best_val", math.inf))
 
-    metrics_path = csv_fh = None
+    csv_fh = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        metrics_path = os.path.join(out_dir, "metrics.csv")
-        csv_fh = open(metrics_path, "a" if resume else "w", encoding="utf-8")
+        csv_fh = open(os.path.join(out_dir, "metrics.csv"), "a" if resume else "w", encoding="utf-8")
         if not resume:
             csv_fh.write("step,loss,token_acc,val_loss\n")
 
-    def run_validation(step: int, window_losses, window_tokens, window_correct):
-        if valid_batches:
-            val_loss, _ = evaluate(model, valid_batches)
-        else:
-            val_loss = math.nan
-        mean_loss = sum(window_losses) / len(window_losses) if window_losses else math.nan
-        acc = window_correct / window_tokens if window_tokens else math.nan
-        row = {"step": step, "loss": mean_loss, "token_acc": acc, "val_loss": val_loss}
-        result.rows.append(row)
+    window: list[tuple[float, int, int]] = []  # (loss, ntokens, ncorrect) per step since the last row
+
+    def end_window(step: int) -> None:
+        """Validate, log the row for the window ending at `step`, keep best.ckpt."""
+        val_loss = evaluate(model, valid_batches)[0] if valid_batches else math.nan
+        mean_loss = sum(w[0] for w in window) / len(window) if window else math.nan
+        ntokens = sum(w[1] for w in window)
+        acc = sum(w[2] for w in window) / ntokens if ntokens else math.nan
+        window.clear()
+        result.rows.append({"step": step, "loss": mean_loss, "token_acc": acc, "val_loss": val_loss})
         if csv_fh is not None:
             csv_fh.write(f"{step},{mean_loss!r},{acc!r},{val_loss!r}\n")
             csv_fh.flush()
-        return val_loss
-
-    window_losses: list[float] = []
-    window_tokens = 0
-    window_correct = 0
-    try:
-        if cfg.steps <= start_step:
-            # nothing to train; still record the initial state
-            val = run_validation(start_step, [], 0, 0)
-            improved = val < best_val
-            if improved:
-                best_val = val
-            if out_dir is not None:
-                if improved or math.isinf(best_val):
+        if not math.isnan(val_loss):
+            result.final_val_loss = val_loss
+            if val_loss < result.best_val_loss:
+                result.best_val_loss = val_loss
+                if out_dir is not None:
                     _save_model(model, os.path.join(out_dir, "best.ckpt"))
-                _save_model(model, os.path.join(out_dir, "last.ckpt"), opt, best_val)
-            result.best_val_loss = best_val
-            result.final_val_loss = val if not math.isnan(val) else math.inf
-            return result
-        for step, batch in stream.from_step(start_step):
-            if step >= cfg.steps:
-                break
+
+    try:
+        n_steps = max(0, cfg.steps - start_step)
+        for step, batch in itertools.islice(stream.from_step(start_step), n_steps):
             opt.zero_grad()
             loss, stats = model.loss_on_batch(batch, training=True,
                                               label_smoothing=cfg.label_smoothing)
@@ -209,26 +199,16 @@ def train(model: Seq2Seq, train_ids, valid_ids, cfg: TrainConfig, out_dir=None,
             loss.backward()
             opt.step(lr_at(step + 1, cfg))
             result.step_losses.append(loss_val)
-            window_losses.append(loss_val)
-            window_tokens += stats["ntokens"]
-            window_correct += stats["ncorrect"]
+            window.append((loss_val, stats["ntokens"], stats["ncorrect"]))
             done = step + 1
             if done % cfg.eval_interval == 0 or done == cfg.steps:
-                val = run_validation(done, window_losses, window_tokens, window_correct)
-                window_losses, window_tokens, window_correct = [], 0, 0
-                if not math.isnan(val):
-                    result.final_val_loss = val
-                    if val < best_val:
-                        best_val = val
-                        if out_dir is not None:
-                            _save_model(model, os.path.join(out_dir, "best.ckpt"))
-                if done == cfg.steps:
-                    break
-        result.best_val_loss = best_val
+                end_window(done)
+        if n_steps == 0:
+            end_window(start_step)  # nothing to train; still record the state
         if out_dir is not None:
-            if math.isinf(best_val):
+            if math.isinf(result.best_val_loss):  # no validation loss was ever kept
                 _save_model(model, os.path.join(out_dir, "best.ckpt"))
-            _save_model(model, os.path.join(out_dir, "last.ckpt"), opt, best_val)
+            _save_model(model, os.path.join(out_dir, "last.ckpt"), opt, result.best_val_loss)
     finally:
         if csv_fh is not None:
             csv_fh.close()
@@ -236,10 +216,12 @@ def train(model: Seq2Seq, train_ids, valid_ids, cfg: TrainConfig, out_dir=None,
 
 
 def _save_model(model: Seq2Seq, path, opt: Adam | None = None, best_val: float = math.inf) -> None:
-    """Parameters only, or with `opt` the resumable state: Adam and best_val."""
+    """Parameters only, or with `opt` the resumable state: Adam, the random
+    streams and best_val."""
     tensors = {name: p for name, p in model.named_parameters()}
     if opt is not None:
         tensors.update(opt.state_tensors())
+        tensors.update(model.rng_state_tensors())
         tensors["state.best_val"] = np.asarray(best_val)
     save_checkpoint(path, tensors)
 

@@ -85,6 +85,14 @@ class TestGen:
         fixed = sum(1 for s, t in pairs if s == t)
         assert fixed == 5
 
+    @pytest.mark.parametrize("flag", ["--n-train", "--n-valid", "--n-test"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_split_count_below_one_exits_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d"
+        assert main(["gen", "--task", "copy", "--out", str(out), flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parallel_split_sizes(self, tmp_path):
         src = tmp_path / "all.src"
         tgt = tmp_path / "all.tgt"
@@ -221,6 +229,22 @@ class TestAnalyze:
         assert [r["layer"] for r in payload["rows"]] == ["none", "emb", "1", "2"]
         assert payload["rows"][0]["d_metric"] == 0.0
 
+    @pytest.mark.parametrize("flag,value", [("--layer", "-1"), ("--layer", "3"),
+                                            ("--decode-limit", "-1")])
+    def test_bad_mask_sweep_number_exits_1(self, trained_run, tmp_path, capsys, flag, value):
+        out = tmp_path / "sweep"
+        assert main(["analyze", "mask-sweep", "--ckpt", str(trained_run / "best.ckpt"),
+                     "--out", str(out), flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (out / "mask_sweep.json").exists()
+
+    def test_mask_sweep_keeps_one_layer(self, trained_run, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["analyze", "mask-sweep", "--ckpt", str(trained_run / "best.ckpt"),
+                     "--out", str(out), "--decode-limit", "0", "--layer", "2"]) == 0
+        payload = json.loads((out / "mask_sweep.json").read_text())
+        assert [r["layer"] for r in payload["rows"]] == ["none", "2"]
+
     def test_svd_on_identity_embedding(self, copy_data, tmp_path):
         run = tmp_path / "idrun"
         cfg_path = write_config(tmp_path / "ci.json",
@@ -303,12 +327,13 @@ class TestDecodeCommand:
 
 
 class TestOldRunDirectories:
-    """config.json files written before the retired fusion options went away."""
+    """config.json files written before the retired fusion and Adam options went away."""
 
-    def write_old_config(self, run, **retired):
+    def write_old_config(self, run, section="fusion", **retired):
         cfg = json.loads((run / "config.json").read_text())
         cfg["fusion"].update({"dropconnect_on": "raw", "renormalize_hard": False})
-        cfg["fusion"].update(retired)
+        cfg["train"].update({"beta1": 0.9, "beta2": 0.98, "adam_eps": 1e-09})
+        cfg[section].update(retired)
         (run / "config.json").write_text(json.dumps(cfg))
 
     def test_retired_defaults_still_decode(self, trained_run, tmp_path):
@@ -325,9 +350,16 @@ class TestOldRunDirectories:
         assert main(["decode", "--ckpt", str(trained_run / "best.ckpt")]) == 1
         assert f"fusion.{key}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("beta2", 0.999), ("beta1", 1), ("adam_eps", 1e-8)])
+    def test_retired_adam_value_is_rejected(self, trained_run, capsys, key, value):
+        self.write_old_config(trained_run, section="train", **{key: value})
+        assert main(["decode", "--ckpt", str(trained_run / "best.ckpt")]) == 1
+        assert f"train.{key}:" in capsys.readouterr().err
+
     def test_new_configs_omit_retired_keys(self, trained_run):
-        fusion = json.loads((trained_run / "config.json").read_text())["fusion"]
-        assert set(fusion) == {"mode", "lambda", "tau", "p"}
+        cfg = json.loads((trained_run / "config.json").read_text())
+        assert set(cfg["fusion"]) == {"mode", "lambda", "tau", "p"}
+        assert not {"beta1", "beta2", "adam_eps"} & set(cfg["train"])
 
 
 class TestTruncatedCheckpoint:

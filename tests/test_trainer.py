@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import surfacefuse.checkpoint as checkpoint
+import surfacefuse.training as training
 from surfacefuse.checkpoint import load_checkpoint, save_checkpoint
 from surfacefuse.data import (
     BOS_ID,
@@ -44,11 +45,11 @@ def toy_dataset(n=260, vocab_size=10, seed=0):
     return ids[: n - 60], ids[n - 60: n - 30], ids[n - 30:], vocab
 
 
-def toy_model(seed=0, **kw):
+def toy_model(seed=0, fusion=None, **kw):
     base = dict(n_enc_layers=2, n_dec_layers=2, d_model=16, n_heads=2, d_ff=32,
                 vocab_src=14, vocab_tgt=14, max_len=16)
     base.update(kw)
-    return Seq2Seq(ModelConfig(**base), FusionConfig(), seed=seed)
+    return Seq2Seq(ModelConfig(**base), fusion or FusionConfig(), seed=seed)
 
 
 class TestSchedule:
@@ -70,8 +71,7 @@ class TestSchedule:
 class TestAdam:
     def test_single_step_matches_hand_formula(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        cfg = TrainConfig(beta1=0.9, beta2=0.98, adam_eps=1e-9)
-        opt = Adam([("p", p)], cfg)
+        opt = Adam([("p", p)])
         p.grad = np.array([0.5, -1.5])
         opt.step(lr=0.01)
         # bias-corrected first step: m_hat = g, v_hat = g^2
@@ -81,7 +81,7 @@ class TestAdam:
 
     def test_none_grad_is_skipped(self):
         p = Tensor(np.ones(3), requires_grad=True)
-        opt = Adam([("p", p)], TrainConfig())
+        opt = Adam([("p", p)])
         opt.step(lr=0.1)
         np.testing.assert_array_equal(p.data, np.ones(3))
 
@@ -213,6 +213,87 @@ class TestTrainLoop:
         lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         steps = [int(line.split(",")[0]) for line in lines[1:]]
         assert steps == [10, 20, 30, 40]
+
+    def test_nothing_to_train_logs_one_row_and_rewrites_last(self, tmp_path, monkeypatch):
+        train_ids, valid_ids, _, vocab = toy_dataset()
+        cfg = TrainConfig(steps=20, max_tokens=128, eval_interval=10, warmup=10, seed=2)
+        first = train(toy_model(vocab_src=len(vocab), vocab_tgt=len(vocab)), train_ids, valid_ids,
+                      cfg, out_dir=str(tmp_path))
+        before = {name: (tmp_path / name).read_bytes()
+                  for name in ("metrics.csv", "best.ckpt", "last.ckpt")}
+        saved = []
+        save = training.save_checkpoint
+        monkeypatch.setattr(training, "save_checkpoint",
+                            lambda path, tensors: (saved.append(os.path.basename(path)),
+                                                   save(path, tensors)))
+        resumed = train(toy_model(vocab_src=len(vocab), vocab_tgt=len(vocab)), train_ids,
+                        valid_ids, cfg, out_dir=str(tmp_path), resume=True)
+        # the same parameters validate to the same loss, which does not improve on the best
+        assert resumed.step_losses == [] and first.final_val_loss >= first.best_val_loss
+        assert (tmp_path / "metrics.csv").read_bytes() == (
+            before["metrics.csv"] + f"20,nan,nan,{first.final_val_loss!r}\n".encode())
+        assert saved == ["last.ckpt"]
+        assert (tmp_path / "best.ckpt").read_bytes() == before["best.ckpt"]
+        assert (tmp_path / "last.ckpt").read_bytes() == before["last.ckpt"]
+        assert resumed.best_val_loss == first.best_val_loss
+        assert resumed.final_val_loss == first.final_val_loss
+
+    def test_no_validation_set_still_writes_both_checkpoints(self, tmp_path):
+        train_ids, _, _, vocab = toy_dataset()
+        model = toy_model(vocab_src=len(vocab), vocab_tgt=len(vocab))
+        cfg = TrainConfig(steps=20, max_tokens=128, eval_interval=10, warmup=10, seed=2)
+        result = train(model, train_ids, [], cfg, out_dir=str(tmp_path))
+        assert [row["step"] for row in result.rows] == [10, 20]
+        assert all(math.isnan(row["val_loss"]) for row in result.rows)
+        assert result.best_val_loss == math.inf and result.final_val_loss == math.inf
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["nan", "nan"]
+        best = load_checkpoint(tmp_path / "best.ckpt")
+        last = load_checkpoint(tmp_path / "last.ckpt")
+        names = [name for name, _ in model.named_parameters()]
+        assert sorted(best) == sorted(names)
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(best[name], p.data)
+            np.testing.assert_array_equal(last[name], p.data)
+        assert float(last["state.best_val"]) == math.inf
+
+    @pytest.mark.parametrize("fusion", [FusionConfig(), FusionConfig(mode="fine", dropconnect=0.3)],
+                             ids=["none", "fine"])
+    def test_resume_equals_uninterrupted_run(self, tmp_path, fusion):
+        train_ids, valid_ids, _, vocab = toy_dataset()
+
+        def run(out_dir, steps, resume=False):
+            model = toy_model(fusion=fusion, dropout=0.1, vocab_src=len(vocab), vocab_tgt=len(vocab))
+            cfg = TrainConfig(steps=steps, max_tokens=128, eval_interval=10, warmup=10, seed=2)
+            train(model, train_ids, valid_ids, cfg, out_dir=str(out_dir), resume=resume)
+
+        run(tmp_path / "straight", 40)
+        run(tmp_path / "resumed", 20)
+        run(tmp_path / "resumed", 40, resume=True)
+        for name in ("metrics.csv", "best.ckpt", "last.ckpt"):
+            assert (tmp_path / "straight" / name).read_bytes() == \
+                (tmp_path / "resumed" / name).read_bytes(), name
+
+    def test_resume_without_stream_states_and_with_malformed_ones(self, tmp_path):
+        train_ids, valid_ids, _, vocab = toy_dataset()
+        last = tmp_path / "last.ckpt"
+
+        def run(steps, resume):
+            cfg = TrainConfig(steps=steps, max_tokens=128, eval_interval=10, warmup=10, seed=2)
+            return train(toy_model(vocab_src=len(vocab), vocab_tgt=len(vocab)), train_ids,
+                         valid_ids, cfg, out_dir=str(tmp_path), resume=resume)
+
+        run(10, resume=False)
+        state = load_checkpoint(last)
+        assert "state.rng.drop:enc0.attn" in state
+        # a checkpoint from before the stream states were saved: the streams start afresh
+        save_checkpoint(last, {k: v for k, v in state.items() if not k.startswith("state.rng.")})
+        assert run(20, resume=True).start_step == 10
+        state = load_checkpoint(last)
+        state["state.rng.drop:enc0.attn"] = np.full(10, 0.5)
+        save_checkpoint(last, state)
+        with pytest.raises(DataError, match="stream state"):
+            run(30, resume=True)
 
     def test_nonfinite_loss_aborts_with_step(self):
         train_ids, valid_ids, _, vocab = toy_dataset()
